@@ -28,8 +28,7 @@
 // wordcount; with -ft, a worker process dying mid-run is relaunched and
 // the job completes from its checkpoints; adding -partial-restart
 // respawns only the dead rank and replays its committed chunks instead
-// of relaunching the whole fleet. Same-host rank pairs ride shared-memory
-// rings by default; -shm-off keeps every pair on TCP.
+// of relaunching the whole fleet.
 package main
 
 import (
@@ -65,7 +64,6 @@ func main() {
 	launchMode := flag.String("launch", "goroutine", "worker hosting: goroutine (in-process) | proc (spawn real worker processes)")
 	ft := flag.Bool("ft", false, "enable the key-value library-level checkpoint (fault tolerance)")
 	partial := flag.Bool("partial-restart", false, "with -launch=proc -ft: recover a dead worker by respawning only that rank instead of relaunching the fleet")
-	shmOff := flag.Bool("shm-off", false, "with -launch=proc: disable the same-host shared-memory transport (all rank pairs use TCP)")
 	hostfile := flag.String("f", "", "hostfile: one host per line (localhost only), overrides -n")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of the run to this path")
 	counters := flag.Bool("counters", false, "print the runtime counters after the run")
@@ -95,7 +93,7 @@ func main() {
 	switch *launchMode {
 	case "goroutine":
 	case "proc":
-		runProc(*numO, *numA, *mode, *procs, *ft, *partial, *shmOff, *tracePath, *counters, flag.Args())
+		runProc(*numO, *numA, *mode, *procs, *ft, *partial, *tracePath, *counters, flag.Args())
 		return
 	default:
 		fmt.Fprintf(os.Stderr, "mpidrun: unknown -launch mode %q (want goroutine or proc)\n", *launchMode)
@@ -225,7 +223,7 @@ func main() {
 
 // runProc is the -launch=proc path: build a self-contained job spec from
 // the flags, spawn the worker fleet, and run the job across it.
-func runProc(numO, numA int, mode string, procs int, ft, partial, shmOff bool, tracePath string, counters bool, args []string) {
+func runProc(numO, numA int, mode string, procs int, ft, partial bool, tracePath string, counters bool, args []string) {
 	if mode != "MapReduce" {
 		fatal(fmt.Errorf("-launch=proc supports MapReduce mode only (got -M %s)", mode))
 	}
@@ -248,7 +246,7 @@ func runProc(numO, numA int, mode string, procs int, ft, partial, shmOff bool, t
 	defer os.RemoveAll(outDir)
 	spec := &launch.JobSpec{
 		App: app, NumO: numO, NumA: numA, Procs: procs,
-		Seed: 1, OutDir: outDir, ShmOff: shmOff,
+		Seed: 1, OutDir: outDir,
 	}
 	var records int
 	switch app {

@@ -48,8 +48,8 @@
 //
 // # Options and cancellation
 //
-// Run is configured with RunOptions: WithTCPTransport / WithMemTransport
-// select the MPI data plane, WithProcessLaunch spawns real worker OS
+// Run is configured with RunOptions: WithTransport selects the MPI data
+// plane and its frame limits, WithProcessLaunch spawns real worker OS
 // processes and runs the data plane across them (pair it with
 // RunWorkerIfSpawned at the top of main), WithPrepareWorkers and
 // WithMergeWorkers size the shuffle pipelines (§IV-C), WithTrace streams
@@ -170,22 +170,44 @@ var (
 // Later options win over earlier ones.
 type RunOption func(*runConfig)
 
-// runConfig collects the option state RunContext applies around the core
-// runtime.
+// runConfig collects the option state RunContext and RunStream apply
+// around the core runtime.
 type runConfig struct {
-	tcp              bool
-	shm              bool
-	proc             bool
-	procOutput       io.Writer
-	traceOut         io.Writer
-	counters         bool
-	prepareWorkers   int
-	mergeWorkers     int
-	coalesceBytes    int
-	coalesceDeadline time.Duration
-	drainTimeout     time.Duration
-	chunkBytes       int
-	maxFrameBytes    int
+	tcp            bool
+	proc           bool
+	procOutput     io.Writer
+	traceOut       io.Writer
+	counters       bool
+	prepareWorkers int
+	mergeWorkers   int
+	chunkBytes     int
+	maxFrameBytes  int
+}
+
+// apply folds the options that override Config fields into conf and
+// returns the core options for the in-process transport and trace
+// output. Shared by RunContext and RunStream.
+func (rc *runConfig) apply(conf *Config) []core.RunOption {
+	if rc.prepareWorkers > 0 {
+		conf.PrepareWorkers = rc.prepareWorkers
+	}
+	if rc.mergeWorkers > 0 {
+		conf.MergeWorkers = rc.mergeWorkers
+	}
+	if rc.chunkBytes > 0 {
+		conf.ChunkBytes = rc.chunkBytes
+	}
+	if rc.maxFrameBytes > 0 {
+		conf.MaxFrameBytes = rc.maxFrameBytes
+	}
+	var copts []core.RunOption
+	if rc.tcp {
+		copts = append(copts, core.WithTCPTransport())
+	}
+	if rc.traceOut != nil {
+		copts = append(copts, core.WithTraceOutput(rc.traceOut))
+	}
+	return copts
 }
 
 // TransportKind selects the MPI data plane of a run.
@@ -194,32 +216,19 @@ type TransportKind int
 const (
 	// TransportMem moves frames over in-memory channels — the default.
 	TransportMem TransportKind = iota
-	// TransportTCP moves frames over real TCP loopback sockets.
+	// TransportTCP moves frames over real TCP loopback sockets, one
+	// connection per destination, one vectored write per frame.
 	TransportTCP
-	// TransportShm is TransportTCP with the same-host shared-memory ring
-	// transport enabled: an in-process world is all one host, so every
-	// rank pair's traffic rides lock-free shared-memory rings instead of
-	// sockets. Under WithProcessLaunch the rings are on by default
-	// (same-host worker pairs are selected automatically); set
-	// Config.ShmOff to force all pairs onto TCP.
-	TransportShm
 )
 
-// TransportConfig consolidates every data-plane knob behind one option
-// (WithTransport): which transport carries the frames and how its
-// progress engine batches, drains, chunks and caps them. The zero value
-// of any field keeps the corresponding default (or whatever the matching
-// Config field already says), so callers set only what they mean.
+// TransportConfig holds every data-plane knob behind one option
+// (WithTransport): which transport carries the frames and how large a
+// frame may grow. The zero value of any field keeps the corresponding
+// default (or whatever the matching Config field already says), so
+// callers set only what they mean.
 type TransportConfig struct {
 	// Kind selects the transport; the zero value is TransportMem.
 	Kind TransportKind
-	// CoalesceBytes / CoalesceDeadline tune the progress engine's send
-	// batching (see Config.CoalesceBytes / Config.CoalesceDeadline).
-	CoalesceBytes    int
-	CoalesceDeadline time.Duration
-	// DrainTimeout bounds the transport's close-time drain barrier (see
-	// Config.DrainTimeout).
-	DrainTimeout time.Duration
 	// ChunkBytes is the large-value chunk threshold for both transparent
 	// transport chunking and Context.SendValue (see Config.ChunkBytes).
 	ChunkBytes int
@@ -229,29 +238,11 @@ type TransportConfig struct {
 }
 
 // WithTransport configures the MPI data plane from one place: transport
-// kind plus the progress-engine knobs. Nonzero knob fields override the
-// matching Config fields; zero fields leave them as set. It subsumes the
-// deprecated WithMemTransport / WithTCPTransport / WithShmTransport /
-// WithCoalesce / WithDrainTimeout options.
+// kind plus the frame limits. Nonzero limit fields override the matching
+// Config fields; zero fields leave them as set.
 func WithTransport(tc TransportConfig) RunOption {
 	return func(c *runConfig) {
-		switch tc.Kind {
-		case TransportTCP:
-			c.tcp, c.shm = true, false
-		case TransportShm:
-			c.tcp, c.shm = true, true
-		default:
-			c.tcp, c.shm = false, false
-		}
-		if tc.CoalesceBytes > 0 {
-			c.coalesceBytes = tc.CoalesceBytes
-		}
-		if tc.CoalesceDeadline > 0 {
-			c.coalesceDeadline = tc.CoalesceDeadline
-		}
-		if tc.DrainTimeout > 0 {
-			c.drainTimeout = tc.DrainTimeout
-		}
+		c.tcp = tc.Kind == TransportTCP
 		if tc.ChunkBytes > 0 {
 			c.chunkBytes = tc.ChunkBytes
 		}
@@ -259,50 +250,6 @@ func WithTransport(tc TransportConfig) RunOption {
 			c.maxFrameBytes = tc.MaxFrameBytes
 		}
 	}
-}
-
-// WithChunkBytes sets the large-value chunk threshold for the run: a
-// transport message above it travels as sequenced continuation frames,
-// and Context.SendValue streams values above it through the blob store in
-// chunks of this size (see Config.ChunkBytes; default 4 MiB). Equivalent
-// to WithTransport(TransportConfig{ChunkBytes: n}) preserving the
-// transport kind.
-func WithChunkBytes(n int) RunOption { return func(c *runConfig) { c.chunkBytes = n } }
-
-// WithMemTransport runs the MPI data plane over in-memory channels — the
-// default, made explicit so callers can spell out (or override) the
-// transport choice.
-//
-// Deprecated: Use WithTransport(TransportConfig{Kind: TransportMem}).
-func WithMemTransport() RunOption { return func(c *runConfig) { c.tcp, c.shm = false, false } }
-
-// WithTCPTransport runs the MPI data plane over real TCP loopback sockets
-// instead of in-memory channels.
-//
-// Deprecated: Use WithTransport(TransportConfig{Kind: TransportTCP}).
-func WithTCPTransport() RunOption { return func(c *runConfig) { c.tcp, c.shm = true, false } }
-
-// WithShmTransport runs the MPI data plane over the TCP transport with
-// the same-host shared-memory ring transport enabled.
-//
-// Deprecated: Use WithTransport(TransportConfig{Kind: TransportShm}).
-func WithShmTransport() RunOption { return func(c *runConfig) { c.tcp, c.shm = true, true } }
-
-// WithCoalesce tunes the progress engine's send batching (see
-// Config.CoalesceBytes / Config.CoalesceDeadline).
-//
-// Deprecated: Use WithTransport(TransportConfig{CoalesceBytes: bytes,
-// CoalesceDeadline: deadline}).
-func WithCoalesce(bytes int, deadline time.Duration) RunOption {
-	return func(c *runConfig) { c.coalesceBytes, c.coalesceDeadline = bytes, deadline }
-}
-
-// WithDrainTimeout bounds the transport's close-time drain barrier (see
-// Config.DrainTimeout).
-//
-// Deprecated: Use WithTransport(TransportConfig{DrainTimeout: d}).
-func WithDrainTimeout(d time.Duration) RunOption {
-	return func(c *runConfig) { c.drainTimeout = d }
 }
 
 // WithProcessLaunch makes Run a true launcher (§IV-B): it spawns
@@ -373,70 +320,28 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 	for _, o := range opts {
 		o(&rc)
 	}
-	if rc.prepareWorkers > 0 {
-		job.Conf.PrepareWorkers = rc.prepareWorkers
-	}
-	if rc.mergeWorkers > 0 {
-		job.Conf.MergeWorkers = rc.mergeWorkers
-	}
-	if rc.coalesceBytes > 0 {
-		job.Conf.CoalesceBytes = rc.coalesceBytes
-	}
-	if rc.coalesceDeadline > 0 {
-		job.Conf.CoalesceDeadline = rc.coalesceDeadline
-	}
-	if rc.drainTimeout > 0 {
-		job.Conf.DrainTimeout = rc.drainTimeout
-	}
-	if rc.chunkBytes > 0 {
-		job.Conf.ChunkBytes = rc.chunkBytes
-	}
-	if rc.maxFrameBytes > 0 {
-		job.Conf.MaxFrameBytes = rc.maxFrameBytes
-	}
-	var tr *trace.Tracer
-	if rc.traceOut != nil && job.Trace == nil {
-		tr = trace.New()
-		job.Trace = tr
-	}
-	var copts []core.RunOption
+	copts := rc.apply(&job.Conf)
 	var cluster *launch.Cluster
 	if rc.proc {
 		if job.Conf.IOTimeout <= 0 {
 			job.Conf.IOTimeout = 10 * time.Second
 		}
 		cl, cerr := launch.StartCluster(launch.ClusterConfig{
-			Procs:            job.Procs,
-			IOTimeout:        job.Conf.IOTimeout,
-			Output:           rc.procOutput,
-			CoalesceOff:      job.Conf.CoalesceOff,
-			MuxOff:           job.Conf.MuxOff,
-			CoalesceBytes:    job.Conf.CoalesceBytes,
-			CoalesceDeadline: job.Conf.CoalesceDeadline,
-			ShmOff:           job.Conf.ShmOff,
-			DrainTimeout:     job.Conf.DrainTimeout,
-			ChunkBytes:       job.Conf.ChunkBytes,
-			MaxFrameBytes:    job.Conf.MaxFrameBytes,
+			Procs:         job.Procs,
+			IOTimeout:     job.Conf.IOTimeout,
+			Output:        rc.procOutput,
+			ChunkBytes:    job.Conf.ChunkBytes,
+			MaxFrameBytes: job.Conf.MaxFrameBytes,
 		})
 		if cerr != nil {
 			return nil, &RunError{Phase: "launch", Rank: -1, Err: cerr}
 		}
 		cluster = cl
 		copts = append(copts, core.WithWorld(cl.World()))
-	} else if rc.shm {
-		copts = append(copts, core.WithShmTransport())
-	} else if rc.tcp {
-		copts = append(copts, core.WithTCPTransport())
 	}
 	res, err := core.RunContext(ctx, job, copts...)
 	if cluster != nil {
 		cluster.Shutdown()
-	}
-	if tr != nil {
-		job.Trace = nil
-		if werr := tr.WriteJSON(rc.traceOut); werr != nil && err == nil {
-			err = &RunError{Phase: "trace", Rank: -1, Err: werr}
-		}
 	}
 	if err != nil {
 		return nil, err
@@ -484,10 +389,11 @@ func RunWorkerIfSpawned(makeJob func() *Job) (bool, error) {
 // handle is stopped, the A side fires event-time windows as watermarks
 // pass them, and Wait blocks for the final Result (whose RuntimeCounters
 // include the stream.* flow-control and windowing counters). The
-// transport and pipeline options apply as in Run; WithProcessLaunch does
-// not — proc-mode streaming goes through the launch package's JobSpec
-// (app "streamagg") or mpidrun, where the service survives worker
-// SIGKILLs via partial restart.
+// transport, pipeline and trace options apply as in Run; WithTrace's
+// profile is written when the service shuts down, before Wait returns.
+// WithProcessLaunch does not apply — proc-mode streaming goes through the
+// launch package's JobSpec (app "streamagg") or mpidrun, where the
+// service survives worker SIGKILLs via partial restart.
 func RunStream(sj *StreamJob, opts ...RunOption) (*StreamHandle, error) {
 	var rc runConfig
 	for _, o := range opts {
@@ -497,34 +403,7 @@ func RunStream(sj *StreamJob, opts ...RunOption) (*StreamHandle, error) {
 		return nil, &RunError{Phase: "launch", Rank: -1,
 			Err: errors.New("WithProcessLaunch is not supported by RunStream; use the launch package's streaming JobSpec")}
 	}
-	if rc.prepareWorkers > 0 {
-		sj.Conf.PrepareWorkers = rc.prepareWorkers
-	}
-	if rc.mergeWorkers > 0 {
-		sj.Conf.MergeWorkers = rc.mergeWorkers
-	}
-	if rc.coalesceBytes > 0 {
-		sj.Conf.CoalesceBytes = rc.coalesceBytes
-	}
-	if rc.coalesceDeadline > 0 {
-		sj.Conf.CoalesceDeadline = rc.coalesceDeadline
-	}
-	if rc.drainTimeout > 0 {
-		sj.Conf.DrainTimeout = rc.drainTimeout
-	}
-	if rc.chunkBytes > 0 {
-		sj.Conf.ChunkBytes = rc.chunkBytes
-	}
-	if rc.maxFrameBytes > 0 {
-		sj.Conf.MaxFrameBytes = rc.maxFrameBytes
-	}
-	var copts []core.RunOption
-	if rc.shm {
-		copts = append(copts, core.WithShmTransport())
-	} else if rc.tcp {
-		copts = append(copts, core.WithTCPTransport())
-	}
-	return core.RunStream(sj, copts...)
+	return core.RunStream(sj, rc.apply(&sj.Conf)...)
 }
 
 // SplitsForTask is the utility function of §IV-B: it returns the HDFS

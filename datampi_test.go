@@ -100,7 +100,7 @@ func TestPublicAPICommonSort(t *testing.T) {
 			}
 		},
 	}
-	if _, err := datampi.Run(job, datampi.WithTCPTransport()); err != nil {
+	if _, err := datampi.Run(job, datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportTCP})); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(in) || !sort.StringsAreSorted(got) {
@@ -226,7 +226,7 @@ func TestRunOptionsObservability(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res, err = datampi.Run(mkJob(),
-		datampi.WithMemTransport(),
+		datampi.WithTransport(datampi.TransportConfig{Kind: datampi.TransportMem}),
 		datampi.WithCounters(),
 		datampi.WithTrace(&buf),
 		datampi.WithPrepareWorkers(2),
@@ -320,5 +320,57 @@ func TestPublicAPIStreaming(t *testing.T) {
 	// outstanding events.
 	if res.RuntimeCounters["stream.windows.fired"] == 0 || res.RuntimeCounters["stream.credits.max.outstanding"] == 0 {
 		t.Errorf("stream counters missing: %v", res.RuntimeCounters)
+	}
+}
+
+// TestRunStreamWithTrace: RunStream honours WithTrace like Run does — the
+// profile is complete and written by the time Wait returns.
+func TestRunStreamWithTrace(t *testing.T) {
+	epoch := time.Unix(1_700_000_000, 0)
+	sj := &datampi.StreamJob{
+		Name: "stream-trace",
+		Conf: datampi.Config{KeyCodec: datampi.BytesCodec, ValueCodec: datampi.BytesCodec},
+		NumO: 2, NumA: 2,
+		Window: datampi.WindowSpec{Size: 50 * time.Millisecond},
+		Source: func(sc *datampi.SourceContext) error {
+			for i := 0; i < 100; i++ {
+				ts := epoch.Add(time.Duration(i) * time.Millisecond)
+				if err := sc.Emit([]byte("k"), []byte{1}, ts); err != nil {
+					return err
+				}
+				if err := sc.Watermark(ts); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		Emit: func(datampi.FiredWindow) error { return nil },
+	}
+	var buf bytes.Buffer
+	h, err := datampi.RunStream(sj, datampi.WithTrace(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("WithTrace output of RunStream is not valid JSON: %v (%d bytes)", err, buf.Len())
+	}
+	names := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		names[e.Name] = true
+	}
+	// Source (O) and window (A) task spans plus the shuffle spans
+	// between them.
+	for _, want := range []string{"O0", "A0", "xmit", "recv"} {
+		if !names[want] {
+			t.Errorf("stream trace missing %q span", want)
+		}
 	}
 }

@@ -192,9 +192,9 @@ func ExampleContext_SendValue() {
 			}
 		},
 	}
-	// WithChunkBytes lowers the threshold so this small example really
+	// ChunkBytes lowers the threshold so this small example really
 	// chunks; production runs usually keep the 4 MiB default.
-	if _, err := datampi.Run(job, datampi.WithChunkBytes(4096)); err != nil {
+	if _, err := datampi.Run(job, datampi.WithTransport(datampi.TransportConfig{ChunkBytes: 4096})); err != nil {
 		panic(err)
 	}
 	// Output:
@@ -202,9 +202,7 @@ func ExampleContext_SendValue() {
 }
 
 // ExampleWithTransport configures the whole data plane in one option:
-// transport kind plus the progress-engine knobs that used to be spread
-// over WithMemTransport/WithTCPTransport/WithShmTransport/WithCoalesce/
-// WithDrainTimeout.
+// transport kind plus the frame limits.
 func ExampleWithTransport() {
 	job := &datampi.Job{
 		Mode: datampi.MapReduce,
@@ -224,10 +222,8 @@ func ExampleWithTransport() {
 		},
 	}
 	_, err := datampi.Run(job, datampi.WithTransport(datampi.TransportConfig{
-		Kind:             datampi.TransportTCP,
-		CoalesceBytes:    32 << 10,
-		CoalesceDeadline: 200 * time.Microsecond,
-		ChunkBytes:       1 << 20,
+		Kind:       datampi.TransportTCP,
+		ChunkBytes: 1 << 20,
 	}))
 	fmt.Println("err:", err)
 	// Output:

@@ -45,26 +45,15 @@ type RegressReport struct {
 	Entries   []RegressEntry `json:"entries"`
 }
 
-// shuffleKnobs selects a shuffle benchmark's transport configuration:
-// mem vs TCP, the progress-engine ablations, and the shared-memory ring
-// transport (shm requires tcp; shmOff wins over shm, so a fleet-wide
-// -shm-off run turns the shuffle/shm entry into a second TCP baseline).
-type shuffleKnobs struct {
-	tcp         bool
-	coalesceOff bool
-	muxOff      bool
-	shm         bool
-	shmOff      bool
-}
-
 // shuffleJob builds a synthetic pure-shuffle run: O tasks emit records
 // round-robin over a small key space, A tasks drain groups. No filesystem,
 // so the measurement isolates SPL/transport/RPL costs. The key space is
 // pre-encoded and values go through the non-boxing AppendInt64 fast path:
 // the timed loop exercises SendRecord (the hot-path API), not fmt or
 // interface boxing, while emitting byte-identical records to the historic
-// Send-based job so the counter baselines stay comparable.
-func shuffleJob(records, prepWorkers, mergeWorkers int, k shuffleKnobs, res **core.Result) func() error {
+// Send-based job so the counter baselines stay comparable. tcp selects
+// the TCP transport over the in-memory one.
+func shuffleJob(records, prepWorkers, mergeWorkers int, tcp bool, res **core.Result) func() error {
 	keys := make([][]byte, 257)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%04d", i))
@@ -77,10 +66,6 @@ func shuffleJob(records, prepWorkers, mergeWorkers int, k shuffleKnobs, res **co
 				ValueCodec:     kv.Int64,
 				PrepareWorkers: prepWorkers,
 				MergeWorkers:   mergeWorkers,
-				CoalesceOff:    k.coalesceOff,
-				MuxOff:         k.muxOff,
-				Shm:            k.shm,
-				ShmOff:         k.shmOff,
 			},
 			NumO: 4, NumA: 2, Procs: 2, Slots: 2,
 			OTask: func(ctx *core.Context) error {
@@ -108,7 +93,7 @@ func shuffleJob(records, prepWorkers, mergeWorkers int, k shuffleKnobs, res **co
 			},
 		}
 		var opts []core.RunOption
-		if k.tcp {
+		if tcp {
 			opts = append(opts, core.WithTCPTransport())
 		}
 		r, err := core.Run(job, opts...)
@@ -376,55 +361,12 @@ func Regress(o Opts, quick bool, tr *trace.Tracer) (*RegressReport, error) {
 	if quick {
 		shuffleRecords = 4000
 	}
-	base := shuffleKnobs{coalesceOff: o.CoalesceOff, muxOff: o.MuxOff}
 	var sres *core.Result
-	if err := add("shuffle/mem", &sres, shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, base, &sres)); err != nil {
+	if err := add("shuffle/mem", &sres, shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, false, &sres)); err != nil {
 		return nil, err
 	}
-	tcpKnobs := base
-	tcpKnobs.tcp = true
 	var tres *core.Result
-	if err := add("shuffle/tcp", &tres, shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, tcpKnobs, &tres)); err != nil {
-		return nil, err
-	}
-
-	// Progress-engine ablation pair: the same TCP shuffle with coalescing
-	// off (flush per frame) and with multiplexing off (one conn per
-	// (comm, rank, dst) triple). Their ns/op against shuffle/tcp is the
-	// engine's measured win; their job counters must match it exactly.
-	coKnobs := tcpKnobs
-	coKnobs.coalesceOff = true
-	var tcoff *core.Result
-	if err := add("shuffle/tcp-coalesce-off", &tcoff,
-		shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, coKnobs, &tcoff)); err != nil {
-		return nil, err
-	}
-	moKnobs := tcpKnobs
-	moKnobs.muxOff = true
-	var tmoff *core.Result
-	if err := add("shuffle/tcp-mux-off", &tmoff,
-		shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, moKnobs, &tmoff)); err != nil {
-		return nil, err
-	}
-
-	// Shared-memory ring transport pair: the same shuffle with every rank
-	// pair on the mmap-ed rings, and its ablation (rings disabled, pure
-	// TCP). shm vs tcp ns/op is the ring's measured win; shm-off must
-	// track shuffle/tcp and carry no mpi.shm.* counters. A fleet-wide
-	// -shm-off run (o.ShmOff) disables the rings in both entries.
-	shmKnobs := tcpKnobs
-	shmKnobs.shm = true
-	shmKnobs.shmOff = o.ShmOff
-	var tshm *core.Result
-	if err := add("shuffle/shm", &tshm,
-		shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, shmKnobs, &tshm)); err != nil {
-		return nil, err
-	}
-	soKnobs := shmKnobs
-	soKnobs.shmOff = true
-	var tsoff *core.Result
-	if err := add("shuffle/shm-off", &tsoff,
-		shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, soKnobs, &tsoff)); err != nil {
+	if err := add("shuffle/tcp", &tres, shuffleJob(shuffleRecords, o.PrepareWorkers, o.MergeWorkers, true, &tres)); err != nil {
 		return nil, err
 	}
 
@@ -490,7 +432,7 @@ func Regress(o Opts, quick bool, tr *trace.Tracer) (*RegressReport, error) {
 	}
 	defer os.RemoveAll(cpRoot)
 	var coff *core.Result
-	if err := add("checkpoint/off", &coff, shuffleJob(shuffleRecords, 0, 0, shuffleKnobs{}, &coff)); err != nil {
+	if err := add("checkpoint/off", &coff, shuffleJob(shuffleRecords, 0, 0, false, &coff)); err != nil {
 		return nil, err
 	}
 	var casync *core.Result

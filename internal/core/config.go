@@ -165,49 +165,6 @@ type Config struct {
 	// persisted different sizes of checkpoints".
 	InjectFailAfterCPRecords int64
 
-	// CoalesceOff disables the TCP transport's send progress engine
-	// (ablation): every frame is written synchronously in its own vectored
-	// write, the pre-engine flush-per-frame behaviour. With the default
-	// engine, sends deposit frames into a per-connection batch that a
-	// writer goroutine drains in single vectored writes; job counters are
-	// byte-identical either way — only the mpi.* wire counters may differ.
-	CoalesceOff bool
-
-	// MuxOff disables the TCP transport's connection multiplexing
-	// (ablation): each (communicator, sender rank, destination) triple
-	// dials its own connection, the pre-engine O(comms·ranks) socket
-	// layout, instead of all streams toward a destination sharing one.
-	MuxOff bool
-
-	// Shm opts an in-process TCP world into the shared-memory ring
-	// transport: every rank pair (trivially same-host) moves its batches
-	// through mmap-ed SPSC rings instead of loopback sockets. Proc-mode
-	// launches ignore it — there the launcher enables shm by default and
-	// per-pair selection happens at rendezvous via the boot-id/nonce
-	// handshake. ShmOff below wins when both are set.
-	Shm bool
-
-	// ShmOff disables shared-memory transport selection everywhere
-	// (ablation): same-host pairs fall back to loopback TCP, the
-	// pre-shm behaviour. Job counters are byte-identical either way —
-	// only the mpi.* wire counters may differ.
-	ShmOff bool
-
-	// DrainTimeout bounds the transport close drain barrier: how long
-	// Close waits for the progress engine to flush acknowledged-but-
-	// unwritten frames (TCP batches and shm ring deposits alike) before
-	// severing connections. Zero keeps the 2s default; slow CI raises it.
-	DrainTimeout time.Duration
-
-	// CoalesceBytes / CoalesceDeadline tune the progress engine: a frame
-	// of CoalesceBytes or more, or a batch reaching CoalesceBytes, forces
-	// an immediate flush; otherwise the writer drains eagerly (batching
-	// emerges while the socket is busy), unless a positive
-	// CoalesceDeadline holds sub-threshold batches open that long. Zero
-	// CoalesceBytes keeps the 16 KiB default; zero deadline = eager drain.
-	CoalesceBytes    int
-	CoalesceDeadline time.Duration
-
 	// ChunkBytes is the large-value chunk threshold, governing both
 	// layers of the BigMPI-style chunked data plane: a transport message
 	// larger than it travels as sequenced continuation frames of at most

@@ -376,7 +376,15 @@ func (c *Context) flushSends() error {
 // signals the end of the task's data.
 func (c *Context) RecvRecord() (kv.Record, bool, error) {
 	if c.streamCh != nil {
-		rec, ok := <-c.streamCh
+		var rec kv.Record
+		var ok bool
+		select {
+		case rec, ok = <-c.streamCh:
+		case <-c.proc.rt.aborted:
+			// A failed run never closes the stream channels: the
+			// failure, not an end of data, is what ends this task.
+			return kv.Record{}, false, c.proc.rt.err()
+		}
 		if ok {
 			c.received++
 			c.proc.rt.ctrs.streamEventsOut.Add(1)

@@ -167,7 +167,6 @@ func (c *sumCollector) check(t *testing.T, want []map[string]int64, wantDescendi
 func transportCases(t *testing.T, fn func(t *testing.T, opts ...RunOption)) {
 	t.Run("mem", func(t *testing.T) { fn(t) })
 	t.Run("tcp", func(t *testing.T) { fn(t, WithTCPTransport()) })
-	t.Run("shm", func(t *testing.T) { fn(t, WithShmTransport()) })
 }
 
 // groupedSumJob is the shared batch-mode job (Common and MapReduce differ

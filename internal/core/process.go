@@ -762,6 +762,9 @@ func (p *process) sendEndMarkers(round int, reverse bool) error {
 // ---------------------------------------------------------------------------
 // Streaming delivery
 
+// streamChan returns partition's stream channel for its A task. The task
+// may attach after end-of-stream: then the channel still holds whatever
+// arrived before the final end marker, and is already closed.
 func (p *process) streamChan(partition int) chan kv.Record {
 	p.streamMu.Lock()
 	defer p.streamMu.Unlock()
@@ -769,6 +772,9 @@ func (p *process) streamChan(partition int) chan kv.Record {
 	if ch == nil {
 		ch = make(chan kv.Record, 4096)
 		p.streams[partition] = ch
+		if p.streamsClosed {
+			close(ch) // no data ever arrived for this partition
+		}
 	}
 	return ch
 }
@@ -818,13 +824,17 @@ func (p *process) streamDeliver(partition, src int, nrec int64, records []byte) 
 	return true, nil
 }
 
+// closeStreams ends every partition's stream. The channels stay in the
+// map, so an A task attaching later still drains what was delivered.
 func (p *process) closeStreams() {
 	p.streamMu.Lock()
 	defer p.streamMu.Unlock()
+	if p.streamsClosed {
+		return
+	}
 	for _, ch := range p.streams {
 		close(ch)
 	}
-	p.streams = map[int]chan kv.Record{}
 	p.streamsClosed = true
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"datampi/internal/hdfs"
 	"datampi/internal/mpi"
 	"datampi/internal/netsim"
+	"datampi/internal/trace"
 )
 
 // Runtime is one job's mpidrun instance: it spawns the DataMPI worker
@@ -135,11 +137,11 @@ type Result struct {
 }
 
 type runCfg struct {
-	tcp     bool
-	shm     bool
-	link    *netsim.Link
-	world   *mpi.World
-	respawn func(rank int) (string, error)
+	tcp      bool
+	link     *netsim.Link
+	world    *mpi.World
+	respawn  func(rank int) (string, error)
+	traceOut io.Writer
 }
 
 // RunOption configures transport choices for a run.
@@ -148,11 +150,11 @@ type RunOption func(*runCfg)
 // WithTCPTransport runs the MPI data plane over real TCP loopback sockets.
 func WithTCPTransport() RunOption { return func(c *runCfg) { c.tcp = true } }
 
-// WithShmTransport runs the data plane over the TCP transport with the
-// same-host shared-memory ring transport enabled: an in-process world is
-// all one host, so every rank pair's traffic rides rings instead of
-// sockets. Equivalent to Config.Shm, as a per-run transport choice.
-func WithShmTransport() RunOption { return func(c *runCfg) { c.tcp = true; c.shm = true } }
+// WithTraceOutput traces the run and writes the Chrome trace_event JSON
+// to w when it ends — also on failure, covering everything up to the
+// abort — before Run returns. Ignored if Job.Trace is already set (the
+// caller owns the tracer then).
+func WithTraceOutput(w io.Writer) RunOption { return func(c *runCfg) { c.traceOut = w } }
 
 // WithLink charges all MPI traffic to the given shaped network link.
 func WithLink(l *netsim.Link) RunOption { return func(c *runCfg) { c.link = l } }
@@ -188,6 +190,23 @@ func Run(job *Job, opts ...RunOption) (*Result, error) {
 // Recvs unblock — and RunContext returns, once the workers have quiesced,
 // a *RunError wrapping ctx.Err().
 func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, error) {
+	var rcfg runCfg
+	for _, o := range opts {
+		o(&rcfg)
+	}
+	if rcfg.traceOut == nil || job.Trace != nil {
+		return runContext(ctx, job, rcfg)
+	}
+	job.Trace = trace.New()
+	res, err := runContext(ctx, job, rcfg)
+	if werr := job.Trace.WriteJSON(rcfg.traceOut); werr != nil && err == nil {
+		res, err = nil, &RunError{Phase: "trace", Rank: -1, Err: werr}
+	}
+	job.Trace = nil
+	return res, err
+}
+
+func runContext(ctx context.Context, job *Job, rcfg runCfg) (*Result, error) {
 	if err := job.validate(); err != nil {
 		return nil, &RunError{Phase: "validate", Rank: -1, Err: err}
 	}
@@ -204,6 +223,7 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 	}
 	rt := &Runtime{
 		job:            job,
+		rcfg:           rcfg,
 		id:             runtimeIDs.Add(1),
 		aborted:        make(chan struct{}),
 		failRank:       -1,
@@ -214,9 +234,6 @@ func RunContext(ctx context.Context, job *Job, opts ...RunOption) (*Result, erro
 	}
 	rt.abortCtx, rt.abortCancel = context.WithCancel(context.Background())
 	defer rt.abortCancel()
-	for _, o := range opts {
-		o(&rt.rcfg)
-	}
 	if ctx != nil && ctx.Done() != nil {
 		watchDone := make(chan struct{})
 		defer close(watchDone)
@@ -279,9 +296,6 @@ func (rt *Runtime) setup() error {
 	if rt.rcfg.tcp {
 		wopts = append(wopts, mpi.WithTCP())
 	}
-	if rt.rcfg.shm {
-		wopts = append(wopts, mpi.WithShm())
-	}
 	if rt.rcfg.link != nil {
 		wopts = append(wopts, mpi.WithLink(rt.rcfg.link))
 	}
@@ -297,7 +311,7 @@ func (rt *Runtime) setup() error {
 	if d := j.Conf.IOTimeout; d > 0 {
 		wopts = append(wopts, mpi.WithSendTimeout(d))
 	}
-	wopts = append(wopts, engineOptions(&j.Conf)...)
+	wopts = append(wopts, frameOptions(&j.Conf)...)
 	rt.ctrs = newRuntimeCounters(j.Procs)
 	if j.Trace.Enabled() {
 		// TCP retransmits surface as instants on the retrying sender's row.
@@ -348,27 +362,11 @@ func (rt *Runtime) setup() error {
 	return nil
 }
 
-// engineOptions translates the Config's transport progress-engine knobs
-// (coalescing thresholds and the CoalesceOff/MuxOff ablations) into mpi
-// world options. Shared by the in-process master, the proc-mode master
-// world, and — via the launch env protocol — worker processes.
-func engineOptions(c *Config) []mpi.Option {
+// frameOptions translates the Config's frame-size knobs into mpi world
+// options. Shared by the in-process master, the proc-mode master world,
+// and — via the launch env protocol — worker processes.
+func frameOptions(c *Config) []mpi.Option {
 	var opts []mpi.Option
-	if c.CoalesceOff {
-		opts = append(opts, mpi.WithCoalesceOff())
-	}
-	if c.MuxOff {
-		opts = append(opts, mpi.WithMuxOff())
-	}
-	if c.CoalesceBytes > 0 || c.CoalesceDeadline > 0 {
-		opts = append(opts, mpi.WithCoalesce(c.CoalesceBytes, c.CoalesceDeadline))
-	}
-	if c.Shm && !c.ShmOff {
-		opts = append(opts, mpi.WithShm())
-	}
-	if c.DrainTimeout > 0 {
-		opts = append(opts, mpi.WithDrainTimeout(c.DrainTimeout))
-	}
 	if c.ChunkBytes > 0 {
 		opts = append(opts, mpi.WithChunkBytes(c.ChunkBytes))
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -42,11 +43,10 @@ var streamTransports = []struct {
 }{
 	{"mem", nil},
 	{"tcp", []RunOption{WithTCPTransport()}},
-	{"shm", []RunOption{WithShmTransport()}},
 }
 
 // TestStreamWindowOracleMatrix runs four window configurations — tumbling
-// and sliding, in-order and out-of-order arrivals — across all three
+// and sliding, in-order and out-of-order arrivals — across both
 // transports, and checks every fired window against a sequential oracle
 // that assigns each event to its windows directly. The sources keep their
 // watermarks honest (lagging at least the disorder bound), so no event is
@@ -328,7 +328,6 @@ func TestStreamBackpressureChaos(t *testing.T) {
 					StreamCreditWindow: window,
 					SPLBytes:           64,
 					FaultPlan:          plan,
-					DrainTimeout:       10 * time.Second,
 				},
 				NumO: numO, NumA: numA, Procs: 2, Slots: 2,
 				OTask: func(ctx *Context) error {
@@ -554,5 +553,82 @@ func TestStreamWindowStateSpills(t *testing.T) {
 	}
 	if res.RuntimeCounters["stream.windows.fired"] == 0 {
 		t.Error("no windows fired")
+	}
+}
+
+// TestStreamFailingSourceFailsWait: a source returning an error fails the
+// whole service, and once the surviving sources stop, Wait must report
+// that error instead of hanging on A tasks still waiting for the failed
+// source's stream.
+func TestStreamFailingSourceFailsWait(t *testing.T) {
+	for _, tr := range streamTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			boom := errors.New("boom")
+			failed := make(chan struct{})
+			sj := &StreamJob{
+				NumO: 2, NumA: 2, Procs: 2, Slots: 2,
+				Window: WindowSpec{Size: 50 * time.Millisecond},
+				Source: func(sc *SourceContext) error {
+					if err := sc.Emit([]byte("k"), []byte("v"), streamBase); err != nil {
+						return err
+					}
+					if sc.Rank() == 0 {
+						close(failed)
+						return boom
+					}
+					<-sc.Done()
+					return nil
+				},
+				Emit: func(FiredWindow) error { return nil },
+			}
+			h, err := RunStream(sj, tr.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-failed
+			h.Stop()
+			done := make(chan error, 1)
+			go func() {
+				_, err := h.Wait()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, boom) {
+					t.Fatalf("Wait = %v, want the source's error", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Wait still blocked 10s after a source failed and Stop")
+			}
+		})
+	}
+}
+
+// TestStreamChanAttachAfterEnd: an A task can attach to its partition's
+// stream only after the final end marker arrived (its start command lost
+// the race against a fast source). It must still read the records
+// delivered before the end and then see end-of-stream — never a fresh,
+// never-closed channel.
+func TestStreamChanAttachAfterEnd(t *testing.T) {
+	p := &process{streams: map[int]chan kv.Record{}}
+	p.streamChan(0) <- kv.Record{Key: []byte("early")}
+	p.closeStreams()
+	recv := func(part int) (kv.Record, bool) {
+		select {
+		case rec, ok := <-p.streamChan(part):
+			return rec, ok
+		case <-time.After(5 * time.Second):
+			t.Fatalf("partition %d: stream neither delivered nor ended after close", part)
+			return kv.Record{}, false
+		}
+	}
+	if rec, ok := recv(0); !ok || string(rec.Key) != "early" {
+		t.Fatalf("partition 0 first read = %q, %v; want the record delivered before the end", rec.Key, ok)
+	}
+	if _, ok := recv(0); ok {
+		t.Fatal("partition 0: record after end-of-stream")
+	}
+	if _, ok := recv(1); ok {
+		t.Fatal("partition 1 never received data, yet its stream delivered a record")
 	}
 }

@@ -40,44 +40,17 @@ type ClusterConfig struct {
 	// Output receives the workers' relayed stdout/stderr, each line
 	// prefixed "[w<rank>] ". Defaults to os.Stderr.
 	Output io.Writer
-	// Transport progress-engine knobs, applied to the master's world and
-	// forwarded to every worker via EnvCoalesce/EnvMux so the whole fleet
-	// runs one engine configuration (see core.Config.CoalesceOff et al.).
-	CoalesceOff      bool
-	MuxOff           bool
-	CoalesceBytes    int
-	CoalesceDeadline time.Duration
-	// ShmOff disables the same-host shared-memory transport for the whole
-	// fleet; every pair stays on TCP. Default (false) lets the launcher
-	// create a segment directory and the ranks select shm per pair.
-	ShmOff bool
-	// ShmDir overrides the parent directory the segment directory is
-	// created under (default mpi.ShmBaseDir(): /dev/shm when present).
-	// Tests point it at a temp dir to check the lifecycle.
-	ShmDir string
-	// DrainTimeout bounds every world's close-time drain barrier
-	// (mpi.WithDrainTimeout); zero keeps the transport default.
-	DrainTimeout time.Duration
 	// ChunkBytes / MaxFrameBytes set the fleet's chunked-transfer
 	// threshold and send-side frame cap (mpi.WithChunkBytes /
 	// mpi.WithMaxFrame); zero keeps the transport defaults.
 	ChunkBytes    int
 	MaxFrameBytes int
-
-	// shmDir is the created segment directory for this attempt, set by
-	// StartCluster and removed again on Shutdown/killAll. Unexported:
-	// callers configure ShmOff/ShmDir, not the directory itself.
-	shmDir string
 }
 
 // spawnEnv assembles one worker's spawn-protocol environment on top of
 // the launcher's own. Shared by StartCluster and Respawn so a respawned
 // rank always rejoins with the fleet's exact configuration.
-// shm selects whether this worker gets the segment directory: true for
-// the initial fleet, false for Respawn replacements — a ring still holds
-// the dead incarnation's cursors and residue, so a replacement must
-// advertise plain TCP and let every pair involving it fall back.
-func (cfg *ClusterConfig) spawnEnv(rank, attempt int, rvAddr string, shm bool) []string {
+func (cfg *ClusterConfig) spawnEnv(rank, attempt int, rvAddr string) []string {
 	env := append(os.Environ(),
 		fmt.Sprintf("%s=%d", EnvWorkerRank, rank),
 		fmt.Sprintf("%s=%d", EnvProcs, cfg.Procs),
@@ -85,22 +58,6 @@ func (cfg *ClusterConfig) spawnEnv(rank, attempt int, rvAddr string, shm bool) [
 		fmt.Sprintf("%s=%d", EnvAttempt, attempt),
 		fmt.Sprintf("%s=%d", EnvIOTimeout, cfg.IOTimeout.Milliseconds()),
 	)
-	switch {
-	case cfg.CoalesceOff:
-		env = append(env, EnvCoalesce+"=off")
-	case cfg.CoalesceBytes > 0 || cfg.CoalesceDeadline > 0:
-		env = append(env, fmt.Sprintf("%s=%d,%d", EnvCoalesce,
-			cfg.CoalesceBytes, cfg.CoalesceDeadline.Microseconds()))
-	}
-	if cfg.MuxOff {
-		env = append(env, EnvMux+"=off")
-	}
-	if shm && cfg.shmDir != "" {
-		env = append(env, EnvShmDir+"="+cfg.shmDir)
-	}
-	if cfg.DrainTimeout > 0 {
-		env = append(env, fmt.Sprintf("%s=%d", EnvDrain, cfg.DrainTimeout.Milliseconds()))
-	}
 	if cfg.ChunkBytes > 0 {
 		env = append(env, fmt.Sprintf("%s=%d", EnvChunk, cfg.ChunkBytes))
 	}
@@ -117,21 +74,6 @@ func (cfg *ClusterConfig) worldOptions() []mpi.Option {
 	if cfg.IOTimeout > 0 {
 		wopts = append(wopts, mpi.WithSendTimeout(cfg.IOTimeout))
 	}
-	if cfg.CoalesceOff {
-		wopts = append(wopts, mpi.WithCoalesceOff())
-	}
-	if cfg.MuxOff {
-		wopts = append(wopts, mpi.WithMuxOff())
-	}
-	if cfg.CoalesceBytes > 0 || cfg.CoalesceDeadline > 0 {
-		wopts = append(wopts, mpi.WithCoalesce(cfg.CoalesceBytes, cfg.CoalesceDeadline))
-	}
-	if cfg.shmDir != "" {
-		wopts = append(wopts, mpi.WithShmSegments(cfg.shmDir))
-	}
-	if cfg.DrainTimeout > 0 {
-		wopts = append(wopts, mpi.WithDrainTimeout(cfg.DrainTimeout))
-	}
 	if cfg.ChunkBytes > 0 {
 		wopts = append(wopts, mpi.WithChunkBytes(cfg.ChunkBytes))
 	}
@@ -139,24 +81,6 @@ func (cfg *ClusterConfig) worldOptions() []mpi.Option {
 		wopts = append(wopts, mpi.WithMaxFrame(cfg.MaxFrameBytes))
 	}
 	return wopts
-}
-
-// setupShmDir creates one attempt's segment directory: a fresh tmpdir
-// under parent (default mpi.ShmBaseDir()) holding the nonce file and the
-// sparse ring matrix for procs workers plus the launcher.
-func setupShmDir(parent string, ranks int) (string, error) {
-	if parent == "" {
-		parent = mpi.ShmBaseDir()
-	}
-	dir, err := os.MkdirTemp(parent, "datampi-shm-")
-	if err != nil {
-		return "", err
-	}
-	if err := mpi.CreateShmSegments(dir, ranks, 0); err != nil {
-		os.RemoveAll(dir)
-		return "", err
-	}
-	return dir, nil
 }
 
 // WorkerExit records how one worker process ended.
@@ -212,31 +136,19 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Output == nil {
 		cfg.Output = os.Stderr
 	}
-	// Same-host fast path: lay out the shared-memory segment directory
-	// before spawning so every rank (workers + launcher) can map the same
-	// rings. Failure is non-fatal — the fleet silently stays on TCP.
-	if !cfg.ShmOff {
-		if dir, err := setupShmDir(cfg.ShmDir, cfg.Procs+1); err != nil {
-			fmt.Fprintf(cfg.Output, "[launcher] shm transport unavailable, using TCP: %v\n", err)
-		} else {
-			cfg.shmDir = dir
-		}
-	}
 	rv, err := mpi.NewRendezvous(cfg.Procs, bootstrapTimeout)
 	if err != nil {
-		removeShmDir(cfg.shmDir)
 		return nil, err
 	}
 	ep, err := mpi.ListenEndpoint()
 	if err != nil {
 		rv.Close()
-		removeShmDir(cfg.shmDir)
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg}
 	for r := 0; r < cfg.Procs; r++ {
 		cmd := exec.Command(exe, cfg.Args...)
-		cmd.Env = cfg.spawnEnv(r, cfg.Attempt, rv.Addr(), true)
+		cmd.Env = cfg.spawnEnv(r, cfg.Attempt, rv.Addr())
 		stdin, err := cmd.StdinPipe()
 		if err == nil {
 			var stdout, stderrp io.ReadCloser
@@ -260,15 +172,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 			return nil, fmt.Errorf("launch: spawning worker %d: %w", r, err)
 		}
 	}
-	// The launcher's own directory entry carries the shm host identity
-	// too: master<->worker pairs ride the rings just like worker pairs.
-	selfAddr := ep.Addr()
-	if cfg.shmDir != "" {
-		if hid, err := mpi.ShmHostID(cfg.shmDir); err == nil {
-			selfAddr = mpi.ShmAddr(selfAddr, hid)
-		}
-	}
-	addrs, err := rv.Wait(selfAddr)
+	addrs, err := rv.Wait(ep.Addr())
 	rv.Close()
 	if err != nil {
 		c.killAll()
@@ -351,10 +255,7 @@ func (c *Cluster) Respawn(rank int) (string, error) {
 	}
 	attempt := c.cfg.Attempt + int(c.gen.Add(1))
 	cmd := exec.Command(exe, c.cfg.Args...)
-	// shm=false: the replacement advertises plain TCP. Its rings still
-	// hold the dead incarnation's state, so every pair involving this
-	// rank is demoted to TCP (transport.replaceRank retires them).
-	cmd.Env = c.cfg.spawnEnv(rank, attempt, rv.Addr(), false)
+	cmd.Env = c.cfg.spawnEnv(rank, attempt, rv.Addr())
 	stdin, err := cmd.StdinPipe()
 	var stdout, stderrp io.ReadCloser
 	if err == nil {
@@ -396,16 +297,6 @@ func (c *Cluster) Respawn(rank int) (string, error) {
 	return addr, nil
 }
 
-// removeShmDir unlinks one attempt's segment directory. mmap-ed rings in
-// still-live processes keep their pages until those processes unmap or
-// exit; unlinking here guarantees nothing persists under /dev/shm after
-// the fleet is gone, whichever way it went down.
-func removeShmDir(dir string) {
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
-}
-
 // killAll SIGKILLs every spawned child (bootstrap-failure path).
 func (c *Cluster) killAll() {
 	for _, cmd := range c.cmds {
@@ -417,7 +308,6 @@ func (c *Cluster) killAll() {
 		cmd.Wait()
 	}
 	c.relayWG.Wait()
-	removeShmDir(c.cfg.shmDir)
 }
 
 // Shutdown ends the attempt: closes the world, closes every worker's
@@ -451,7 +341,6 @@ func (c *Cluster) Shutdown() []WorkerExit {
 		<-done
 	}
 	c.relayWG.Wait()
-	removeShmDir(c.cfg.shmDir)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := append([]WorkerExit(nil), c.exits...)

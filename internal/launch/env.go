@@ -30,21 +30,6 @@ const (
 	EnvAttempt    = "DATAMPI_ATTEMPT"
 	EnvIOTimeout  = "DATAMPI_IOTIMEOUT_MS"
 	EnvSpec       = "DATAMPI_SPEC"
-	// EnvCoalesce / EnvMux carry the transport progress-engine knobs so
-	// worker worlds run the same engine configuration as the master's:
-	// EnvCoalesce is "off" (ablation), "" (engine defaults), or
-	// "<bytes>,<deadline_us>"; EnvMux is "off" (ablation) or "".
-	EnvCoalesce = "DATAMPI_COALESCE"
-	EnvMux      = "DATAMPI_MUX"
-	// EnvShmDir is the launcher's shared-memory segment directory. A
-	// worker that can read its nonce advertises the derived host identity
-	// alongside its TCP address and maps the rings; unset (or unreadable)
-	// means this worker pairs over TCP only. Respawn replacements never
-	// receive it — their rings hold a dead incarnation's state.
-	EnvShmDir = "DATAMPI_SHM_DIR"
-	// EnvDrain overrides the transport's close-time drain barrier bound,
-	// in milliseconds (mpi.WithDrainTimeout).
-	EnvDrain = "DATAMPI_DRAIN_MS"
 	// EnvChunk / EnvMaxFrame carry the chunked-transfer threshold and the
 	// send-side frame cap in bytes (mpi.WithChunkBytes / mpi.WithMaxFrame)
 	// so worker worlds chunk exactly as the master's does.
@@ -106,19 +91,12 @@ func JoinAsWorker() (*Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Advertise the shm host identity alongside the TCP address when the
-	// launcher shipped a segment directory we can actually read; peers
-	// that derive the same identity select the ring transport for this
-	// pair at connection time, everyone else dials TCP.
-	selfAddr := ep.Addr()
-	var wopts []mpi.Option
-	if shmDir := os.Getenv(EnvShmDir); shmDir != "" {
-		if hid, err := mpi.ShmHostID(shmDir); err == nil {
-			selfAddr = mpi.ShmAddr(selfAddr, hid)
-			wopts = append(wopts, mpi.WithShmSegments(shmDir))
-		}
+	dir, err := mpi.JoinRendezvous(rvAddr, rank, ep.Addr(), bootstrapTimeout)
+	if err != nil {
+		ep.Close()
+		return nil, err
 	}
-	dir, err := mpi.JoinRendezvous(rvAddr, rank, selfAddr, bootstrapTimeout)
+	wopts, err := frameEnvOptions()
 	if err != nil {
 		ep.Close()
 		return nil, err
@@ -126,12 +104,6 @@ func JoinAsWorker() (*Worker, error) {
 	if ioTimeout > 0 {
 		wopts = append(wopts, mpi.WithSendTimeout(ioTimeout))
 	}
-	engOpts, err := engineEnvOptions()
-	if err != nil {
-		ep.Close()
-		return nil, err
-	}
-	wopts = append(wopts, engOpts...)
 	world, err := mpi.JoinWorld(procs+1, rank, ep, dir, wopts...)
 	if err != nil {
 		ep.Close()
@@ -141,30 +113,11 @@ func JoinAsWorker() (*Worker, error) {
 		Attempt: attempt, IOTimeout: ioTimeout}, nil
 }
 
-// engineEnvOptions parses the progress-engine spawn variables (EnvCoalesce,
-// EnvMux) into world options for JoinWorld. Unset variables select the
-// engine defaults.
-func engineEnvOptions() ([]mpi.Option, error) {
+// frameEnvOptions parses the frame-size spawn variables (EnvChunk,
+// EnvMaxFrame) into world options for JoinWorld. Unset variables select
+// the transport defaults.
+func frameEnvOptions() ([]mpi.Option, error) {
 	var opts []mpi.Option
-	switch v := os.Getenv(EnvCoalesce); v {
-	case "":
-	case "off":
-		opts = append(opts, mpi.WithCoalesceOff())
-	default:
-		var bytes, us int
-		if _, err := fmt.Sscanf(v, "%d,%d", &bytes, &us); err != nil {
-			return nil, fmt.Errorf("launch: bad %s=%q: %w", EnvCoalesce, v, err)
-		}
-		opts = append(opts, mpi.WithCoalesce(bytes, time.Duration(us)*time.Microsecond))
-	}
-	if os.Getenv(EnvMux) == "off" {
-		opts = append(opts, mpi.WithMuxOff())
-	}
-	if ms, err := envInt(EnvDrain, 0); err != nil {
-		return nil, err
-	} else if ms > 0 {
-		opts = append(opts, mpi.WithDrainTimeout(time.Duration(ms)*time.Millisecond))
-	}
 	if n, err := envInt(EnvChunk, 0); err != nil {
 		return nil, err
 	} else if n > 0 {

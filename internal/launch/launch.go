@@ -28,10 +28,6 @@ type Options struct {
 	Trace *trace.Tracer
 	// Ctx bounds the whole run (default context.Background()).
 	Ctx context.Context
-	// ShmDir overrides where the shared-memory segment directory is
-	// created (default mpi.ShmBaseDir()). Tests use it to verify the
-	// segment lifecycle; production runs leave it empty.
-	ShmDir string
 }
 
 // Launch runs a built-in application spec across real worker OS
@@ -78,10 +74,6 @@ func launchAttempt(spec *JobSpec, specEnv string, opt Options, attempt int) (*co
 		Attempt:       attempt,
 		IOTimeout:     spec.IOTimeout(),
 		Output:        opt.Output,
-		CoalesceOff:   spec.CoalesceOff,
-		MuxOff:        spec.MuxOff,
-		ShmOff:        spec.ShmOff,
-		ShmDir:        opt.ShmDir,
 		ChunkBytes:    spec.ChunkBytes,
 		MaxFrameBytes: spec.MaxFrameBytes,
 	})

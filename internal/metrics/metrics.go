@@ -116,14 +116,21 @@ func (c *Collector) Start() {
 		defer close(c.done)
 		ticker := time.NewTicker(c.interval)
 		defer ticker.Stop()
+		last := start
 		for {
 			select {
 			case <-c.stop:
+				// The partial interval since the last tick is one more
+				// sample, its rates scaled by its own length: a phase
+				// shorter than the interval still leaves a sample.
+				if now := time.Now(); now.After(last) {
+					c.record(now.Sub(start), now.Sub(last), prev, c.snapshot())
+				}
 				return
 			case now := <-ticker.C:
 				cur := c.snapshot()
-				c.record(now.Sub(start), prev, cur)
-				prev = cur
+				c.record(now.Sub(start), c.interval, prev, cur)
+				prev, last = cur, now
 			}
 		}
 	}()
@@ -152,8 +159,10 @@ func (c *Collector) snapshot() snap {
 	return s
 }
 
-func (c *Collector) record(t time.Duration, prev, cur snap) {
-	iv := c.interval.Seconds()
+// record appends the sample at t covering the span prev..cur, which is
+// span long.
+func (c *Collector) record(t, span time.Duration, prev, cur snap) {
+	iv := span.Seconds()
 	smp := Sample{
 		T:            t,
 		CPUPercent:   100 * (cur.busy - prev.busy).Seconds() / (iv * float64(c.cores)),

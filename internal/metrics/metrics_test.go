@@ -103,6 +103,25 @@ func TestCollectorSamples(t *testing.T) {
 	}
 }
 
+// A run shorter than one interval still yields exactly one sample: the
+// tail Stop records, its rates scaled by its actual length.
+func TestCollectorRecordsTailSample(t *testing.T) {
+	link := netsim.NewLink(netsim.Unlimited)
+	c := NewCollector(Config{Interval: time.Hour, Links: []*netsim.Link{link}})
+	c.Start()
+	link.Transfer(1<<20, 0, 0)
+	samples := c.Stop()
+	if len(samples) != 1 {
+		t.Fatalf("%d samples from a Start→Stop shorter than the interval, want 1", len(samples))
+	}
+	s := samples[0]
+	// 1 MiB over at most a few seconds: a rate scaled by the hour-long
+	// interval would read under 300 B/s.
+	if s.NetBps < 1<<18 || s.T <= 0 {
+		t.Errorf("tail sample = %+v, want T > 0 and NetBps scaled by the tail's length", s)
+	}
+}
+
 func TestCollectorStopIdempotentSafe(t *testing.T) {
 	c := NewCollector(Config{Interval: 5 * time.Millisecond})
 	c.Start()

@@ -2,20 +2,20 @@ package mpi
 
 import "encoding/binary"
 
-// Chunked transfer: the BigMPI strategy under the progress engine. A
+// Chunked transfer: the BigMPI strategy above the transports. A
 // message whose payload exceeds the world's chunk threshold never hits
 // the wire as one frame — Comm.send splits it into sequenced CHNK
 // continuation frames (tagChunk), each carrying a sub-header naming the
 // original tag, a sender-unique message id, and this chunk's position,
 // and the receive demux (World.route) reassembles them back into the
 // original message before matching. The split rides the existing
-// per-(comm, srcRank, dst) streams, so exactly-once, FIFO and drain
-// semantics are untouched: the reassembled message is delivered at the
-// stream position of its last chunk, which is exactly where the
-// unchunked frame would have sat. Because chunking happens above the raw
-// transport it behaves identically over TCP, shm rings and the
-// in-memory channels — and it lifts the frame cap off messages: a
-// chunked message may be arbitrarily larger than maxFrame.
+// per-(comm, srcRank, dst) streams, so exactly-once and FIFO semantics
+// are untouched: the reassembled message is delivered at the stream
+// position of its last chunk, which is exactly where the unchunked frame
+// would have sat. Because chunking happens above the raw transport it
+// behaves identically over TCP and the in-memory channels — and it lifts
+// the frame cap off messages: a chunked message may be arbitrarily larger
+// than maxFrame.
 
 // tagChunk is the reserved system tag of continuation frames. Negative
 // tags never match AnyTag, so chunk frames are invisible to user
@@ -55,14 +55,13 @@ type chunkAsm struct {
 }
 
 // initChunking derives the world's chunk threshold and frame cap from a
-// normalized copy of the engine config, so NewWorld and JoinWorld agree
+// normalized copy of the frame config, so NewWorld and JoinWorld agree
 // with whatever the transport itself enforces (the TCP transport
-// normalizes its own copy; the in-memory transport has no engine at
-// all).
-func (w *World) initChunking(eng engineConfig) {
-	eng.normalize()
-	w.chunkBytes = eng.chunkBytes
-	w.maxFrame = eng.maxFrame
+// normalizes its own copy).
+func (w *World) initChunking(fc frameConfig) {
+	fc.normalize()
+	w.chunkBytes = fc.chunkBytes
+	w.maxFrame = fc.maxFrame
 	w.chunkAsm = make(map[chunkKey]*chunkAsm)
 }
 

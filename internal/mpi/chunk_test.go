@@ -5,12 +5,16 @@ import (
 	"encoding/binary"
 	"testing"
 	"time"
+
+	"datampi/internal/netsim"
 )
 
 // chunkedCases are the transport configurations the chunked-transfer
 // contract runs against: the same message must arrive byte-identical
-// whether its continuation frames ride in-memory channels, TCP sockets,
-// or same-host shm rings — chunking sits above the raw transport.
+// whether its continuation frames ride in-memory channels or TCP
+// sockets — chunking sits above the raw transport. tcp/coalesce-off
+// paces the continuation frames over a throttled 1GigE link, as in the
+// transport conformance suite.
 func chunkedCases() []struct {
 	name string
 	opts []Option
@@ -21,8 +25,7 @@ func chunkedCases() []struct {
 	}{
 		{"mem", nil},
 		{"tcp", []Option{WithTCP()}},
-		{"tcp/coalesce-off", []Option{WithTCP(), WithCoalesceOff()}},
-		{"shm", []Option{WithTCP(), WithShm()}},
+		{"tcp/coalesce-off", []Option{WithTCP(), WithLink(netsim.NewThrottledLink(netsim.GigE1))}},
 	}
 }
 
@@ -144,7 +147,7 @@ func FuzzChunkReassembly(f *testing.F) {
 	f.Fuzz(func(t *testing.T, msg []byte, chunkTh uint16, perm uint64, dupMask uint16, junk []byte) {
 		th := int(chunkTh)%4096 + 1
 		w := &World{}
-		w.initChunking(engineConfig{})
+		w.initChunking(frameConfig{})
 
 		// Split msg exactly as sendChunked does.
 		total := (len(msg) + th - 1) / th

@@ -9,17 +9,14 @@ import (
 	"time"
 
 	"datampi/internal/fault"
+	"datampi/internal/netsim"
 )
 
 // The transport conformance suite: one table-driven delivery contract —
 // per-stream FIFO, end-marker-last ordering, small/large interleave
 // order, exactly-once across connection resets, ErrRankDead surfacing —
 // run against every transport configuration the library offers, so each
-// present and future transport is tested against the same spec. The
-// progress-engine entries pin its three mechanisms to the contract:
-// default (coalesce+mux), each ablation alone, both off (the seed
-// transport's layout), and two tunings that force every batch through a
-// single flush trigger (deadline-only and size-only).
+// present and future transport is tested against the same spec.
 type conformanceCase struct {
 	name string
 	// mk builds the world options (fault injectors carry per-world state,
@@ -38,21 +35,22 @@ func conformanceCases(t *testing.T) []conformanceCase {
 	cases := []conformanceCase{
 		{"mem", plain(), false},
 		{"tcp", plain(WithTCP()), true},
-		{"tcp/coalesce-off", plain(WithTCP(), WithCoalesceOff()), true},
-		{"tcp/mux-off", plain(WithTCP(), WithMuxOff()), true},
-		{"tcp/engine-off", plain(WithTCP(), WithCoalesceOff(), WithMuxOff()), true},
-		// Threshold above every test payload: nothing size-flushes, all
-		// delivery rides the deadline timer.
-		{"tcp/deadline-flush", plain(WithTCP(), WithCoalesce(1<<20, 200*time.Microsecond)), true},
-		// Tiny threshold: batches ship every couple of frames on the size
-		// trigger; the short deadline only covers each tail.
-		{"tcp/size-flush", plain(WithTCP(), WithCoalesce(64, 20*time.Millisecond)), true},
-		// Same-host rings instead of sockets: the same batched wire format
-		// deposited into shm SPSC rings. Rings never reset (no resettable
-		// path), so the contract here is FIFO/ordering/interleave.
-		{"shm", plain(WithTCP(), WithShm()), false},
-		{"shm/coalesce-off", plain(WithTCP(), WithShm(), WithCoalesceOff()), false},
-		{"shm/size-flush", plain(WithTCP(), WithShm(), WithCoalesce(64, 20*time.Millisecond)), false},
+		// The TCP send path — one synchronous vectored write per frame —
+		// under the conditions the removed coalescing engine was tuned
+		// for. These variants keep the names of the engine configurations
+		// that covered those conditions.
+		//
+		// coalesce-off: a throttled 1GigE link, so the wire rather than
+		// the CPU paces the writes.
+		{"tcp/coalesce-off", func() ([]Option, *fault.Injector) {
+			return []Option{WithTCP(), WithLink(netsim.NewThrottledLink(netsim.GigE1))}, nil
+		}, true},
+		// deadline-flush: every write carries a socket deadline, which
+		// the retry loop must honour across resets.
+		{"tcp/deadline-flush", plain(WithTCP(), WithSendTimeout(10*time.Second)), true},
+		// size-flush: messages above 1 KiB leave as continuation frames,
+		// one write each, interleaved with the single-frame ones.
+		{"tcp/size-flush", plain(WithTCP(), WithChunkBytes(1<<10)), true},
 	}
 	if !testing.Short() {
 		chaos := func(tcp bool) func() ([]Option, *fault.Injector) {
@@ -160,8 +158,8 @@ func TestTransportConformance(t *testing.T) {
 				}
 			})
 
-			// Small/large interleave: frames on both engine paths (batched
-			// small, immediate large) stay in one submission order.
+			// Small/large interleave: tiny frames and frames larger than
+			// the receive buffer stay in one submission order.
 			t.Run("small-large-interleave", func(t *testing.T) {
 				t.Parallel()
 				w, _ := conformanceWorld(t, 2, tc)
@@ -197,8 +195,7 @@ func TestTransportConformance(t *testing.T) {
 			})
 
 			// Exactly-once across resets: connection resets injected while
-			// a sender streams must not drop or duplicate anything —
-			// including frames coalesced in a batch when the reset lands.
+			// a sender streams must not drop or duplicate anything.
 			if tc.resettable {
 				t.Run("exactly-once-across-resets", func(t *testing.T) {
 					t.Parallel()
@@ -262,75 +259,46 @@ func TestTransportConformance(t *testing.T) {
 	}
 }
 
-// TestCoalesceMidBatchReset is the deterministic version of the reset
-// contract: frames are parked in a coalescing batch (threshold and
-// deadline too large to flush), the connection is reset under the batch,
-// and a large frame then forces the flush over a fresh dial. Nothing may
-// be dropped or double-delivered, and order must hold.
-func TestCoalesceMidBatchReset(t *testing.T) {
-	w, err := NewWorld(2, WithTCP(), WithCoalesce(1<<20, time.Hour))
+// TestResetRedialsExactlyOnce is the deterministic version of the reset
+// contract: the connection is severed between two runs of sends, so the
+// second run must redial, and nothing may be dropped or double-delivered.
+func TestResetRedialsExactlyOnce(t *testing.T) {
+	w, err := NewWorld(2, WithTCP())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
 	tr := w.tr.(*tcpTransport)
-
-	// Establish the connection so the reset has a socket to sever: a
-	// large frame trips the size trigger, and the writer goroutine dials
-	// on its flush. Sends are asynchronous now, so wait for the write to
-	// actually land before parking anything behind it.
-	if err := w.Comm(0).Send(1, 1, bytes.Repeat([]byte{1}, 2<<20)); err != nil {
-		t.Fatal(err)
-	}
-	for start := time.Now(); w.Stats().WritevCalls == 0; {
-		if time.Since(start) > 10*time.Second {
-			t.Fatal("first large frame never flushed")
+	const msgs = 20
+	for i := 0; i < 2*msgs; i++ {
+		if i == msgs {
+			tr.resetPair(0, 0, 1) // sever the conn the first run dialed
 		}
-		time.Sleep(time.Millisecond)
-	}
-	// Park small frames in the batch; with an hour-long deadline they can
-	// only leave via the next size-triggered flush.
-	const batched = 20
-	for i := 0; i < batched; i++ {
 		if err := w.Comm(0).Send(1, 1, []byte{byte(i)}); err != nil {
-			t.Fatalf("batched send %d: %v", i, err)
+			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	tr.resetPair(0, 0, 1) // sever the conn under the pending batch
-	// The flush-forcing large frame must carry the whole batch with it
-	// over the redial.
-	tail := bytes.Repeat([]byte{7}, 2<<20)
-	if err := w.Comm(0).Send(1, 1, tail); err != nil {
-		t.Fatal(err)
-	}
-
-	if data, _, err := w.Comm(1).Recv(0, 1); err != nil || len(data) != 2<<20 {
-		t.Fatalf("first large frame: len=%d err=%v", len(data), err)
-	}
-	for i := 0; i < batched; i++ {
+	for i := 0; i < 2*msgs; i++ {
 		data, _, err := w.Comm(1).Recv(0, 1)
 		if err != nil {
-			t.Fatalf("batched recv %d: %v", i, err)
+			t.Fatalf("recv %d: %v", i, err)
 		}
 		if len(data) != 1 || data[0] != byte(i) {
-			t.Fatalf("batched recv %d: got %v (batch tail dropped or duplicated)", i, data)
+			t.Fatalf("recv %d: got %v (dropped or duplicated across the reset)", i, data)
 		}
 	}
-	if data, _, err := w.Comm(1).Recv(0, 1); err != nil || len(data) != 2<<20 || data[0] != 7 {
-		t.Fatalf("tail large frame: len=%d err=%v", len(data), err)
-	}
-	if s := w.Stats(); s.Dials < 2 {
-		t.Fatalf("dials = %d, want >= 2 (the reset must have forced a redial)", s.Dials)
+	if s := w.Stats(); s.Dials != 2 {
+		t.Fatalf("dials = %d, want 2 (the reset must have forced one redial)", s.Dials)
 	}
 }
 
 // TestCoalesceDeadlineFlushLatency covers the streaming-latency path: a
-// lone small frame whose batch will never reach the size threshold must
-// still arrive promptly via the deadline flush — a stuck batch would
-// hang this receive until the test timeout.
+// lone small frame must reach the wire in its own write and arrive
+// promptly, without waiting for more traffic to join it. The send path
+// holds nothing back, so the flush deadline is zero; a batching layer
+// reintroduced under it would hang this receive or miss the bound.
 func TestCoalesceDeadlineFlushLatency(t *testing.T) {
-	const deadline = 5 * time.Millisecond
-	w, err := NewWorld(2, WithTCP(), WithCoalesce(1<<20, deadline))
+	w, err := NewWorld(2, WithTCP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,74 +307,64 @@ func TestCoalesceDeadlineFlushLatency(t *testing.T) {
 	if err := w.Comm(0).Send(1, 7, []byte("lone")); err != nil {
 		t.Fatal(err)
 	}
+	if s := w.Stats(); s.WritevCalls != 1 {
+		t.Fatalf("WritevCalls = %d after one returned send, want 1 (frame held back)", s.WritevCalls)
+	}
 	if _, _, err := w.Comm(1).RecvTimeout(0, 7, 10*time.Second); err != nil {
-		t.Fatalf("lone coalesced frame never flushed: %v", err)
+		t.Fatalf("lone frame never arrived: %v", err)
 	}
-	// The hard contract is the deadline flush fires at all; the latency
-	// bound is deliberately loose against CI scheduling noise while still
-	// catching a batch that waited for more traffic.
-	if d := time.Since(start); d > 100*deadline {
-		t.Fatalf("lone frame took %v to arrive with a %v flush deadline", d, deadline)
-	}
-	if s := w.Stats(); s.CoalesceFlushDeadline == 0 {
-		t.Fatalf("CoalesceFlushDeadline = 0 after a deadline-flushed frame (stats %+v)", s)
+	// The bound is loose against CI scheduling noise while still catching
+	// a frame that waited for more traffic.
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("lone frame took %v to arrive", d)
 	}
 }
 
 // TestMuxConnCount pins the multiplexing claim: all-to-all traffic on an
-// n-rank world opens one outgoing connection per destination with the
-// default engine, and one per (comm, src, dst) triple with WithMuxOff.
+// n-rank world opens one outgoing connection per destination, however
+// many (comm, src) streams share it. Multiplexing is the only
+// connection mode, so mux-on is the only case.
 func TestMuxConnCount(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		opts      []Option
-		wantConns int64
-	}{
-		{"mux-on", []Option{WithTCP()}, 3},
-		{"mux-off", []Option{WithTCP(), WithMuxOff()}, 6},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w, err := NewWorld(3, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			for src := 0; src < 3; src++ {
-				for dst := 0; dst < 3; dst++ {
-					if src == dst {
-						continue
-					}
-					if err := w.Comm(src).Send(dst, 4, []byte(fmt.Sprintf("%d->%d", src, dst))); err != nil {
-						t.Fatalf("send %d->%d: %v", src, dst, err)
-					}
-				}
-			}
+	t.Run("mux-on", func(t *testing.T) {
+		w, err := NewWorld(3, WithTCP())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		for src := 0; src < 3; src++ {
 			for dst := 0; dst < 3; dst++ {
-				for n := 0; n < 2; n++ {
-					if _, _, err := w.Comm(dst).Recv(AnySource, 4); err != nil {
-						t.Fatalf("recv at %d: %v", dst, err)
-					}
+				if src == dst {
+					continue
+				}
+				if err := w.Comm(src).Send(dst, 4, []byte(fmt.Sprintf("%d->%d", src, dst))); err != nil {
+					t.Fatalf("send %d->%d: %v", src, dst, err)
 				}
 			}
-			if s := w.Stats(); s.MuxConns != tc.wantConns {
-				t.Fatalf("MuxConns = %d, want %d (stats %+v)", s.MuxConns, tc.wantConns, s)
+		}
+		for dst := 0; dst < 3; dst++ {
+			for n := 0; n < 2; n++ {
+				if _, _, err := w.Comm(dst).Recv(AnySource, 4); err != nil {
+					t.Fatalf("recv at %d: %v", dst, err)
+				}
 			}
-		})
-	}
+		}
+		if s := w.Stats(); s.MuxConns != 3 {
+			t.Fatalf("MuxConns = %d, want 3 (stats %+v)", s.MuxConns, s)
+		}
+	})
 }
 
-// TestCoalescedOrderingUnderLinkChaos hammers the coalescing engine with
-// the benign chaos plan plus forced resets: many concurrent streams of
-// small (batched) frames interleaved with large (immediate) ones, every
-// message still delivered exactly once in per-stream order. Run with
-// -race in CI.
-func TestCoalescedOrderingUnderLinkChaos(t *testing.T) {
+// TestOrderingUnderLinkChaos hammers the TCP send path with the benign
+// chaos plan plus forced resets: concurrent streams sharing one
+// connection, small frames interleaved with larger ones, every message
+// still delivered exactly once in per-stream order. Run with -race in CI.
+func TestOrderingUnderLinkChaos(t *testing.T) {
 	plan := fault.LinkChaos(0xBA7C4, 0.2, time.Millisecond)
 	plan.Rules = append(plan.Rules,
 		fault.Rule{Kind: fault.Reset, Src: fault.Any, Dst: fault.Any, Prob: 0.1})
 	inj := fault.NewInjector(plan)
 	w, err := NewWorld(4, WithTCP(), WithFaults(inj),
-		WithSendTimeout(10*time.Second), WithCoalesce(512, time.Millisecond))
+		WithSendTimeout(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +380,7 @@ func TestCoalescedOrderingUnderLinkChaos(t *testing.T) {
 				payload := []byte{byte(src), byte(i >> 8), byte(i)}
 				if i%17 == 16 {
 					big[1], big[2] = byte(i>>8), byte(i)
-					payload = big // above the 512B threshold: immediate path
+					payload = big
 				}
 				if err := w.Comm(src).Send(3, 6, payload); err != nil {
 					t.Errorf("send src=%d i=%d: %v", src, i, err)

@@ -69,7 +69,7 @@ func JoinWorld(n, self int, ep *Endpoint, addrs []string, opts ...Option) (*Worl
 	if cfg.inj != nil {
 		return nil, fmt.Errorf("mpi: fault injection is in-process only; use DeclareDead for real process death")
 	}
-	tr, err := newDistTCPTransport(n, self, ep.ln, addrs, cfg.link, cfg.sendTimeout, cfg.onRetry, cfg.eng)
+	tr, err := newDistTCPTransport(n, self, ep.ln, addrs, cfg.link, cfg.sendTimeout, cfg.onRetry, cfg.frames)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func JoinWorld(n, self int, ep *Endpoint, addrs []string, opts ...Option) (*Worl
 		comms:  make(map[uint32][]*Comm),
 		nextID: 1,
 	}
-	w.initChunking(cfg.eng)
+	w.initChunking(cfg.frames)
 	w.procs = make([]*proc, n)
 	for i := 0; i < n; i++ {
 		w.procs[i] = &proc{world: w, rank: i}

@@ -158,13 +158,9 @@ func TestDistWorldSendToGonePeer(t *testing.T) {
 	start := time.Now()
 	err := worlds[0].Comm(0).Send(1, 4, []byte("x"))
 	if err == nil {
-		// Small frames coalesce, so the first sends return after
-		// batching and the failure surfaces asynchronously: the deadline
-		// flush runs the retry ladder (dial failures + backoff) and
-		// parks its ErrRankDead verdict on the connection, which a later
-		// send reports. The OS may also buffer a small write on a
-		// connection the peer has not yet RST. Pace the retries so the
-		// ladder has time to reach its verdict.
+		// The OS may buffer a small write on a connection the peer has
+		// not yet RST, so the first send can succeed. Pace the retries so
+		// the ladder has time to reach its verdict.
 		for i := 0; i < 50 && err == nil; i++ {
 			time.Sleep(20 * time.Millisecond)
 			err = worlds[0].Comm(0).Send(1, 4, []byte("x"))

@@ -133,9 +133,9 @@ func FuzzReadDirectory(f *testing.F) {
 	})
 }
 
-// FuzzReadFrameBatch targets the progress engine's batched wire format:
-// a coalesced batch is concatenated frames (appendFrame), possibly from
-// interleaved streams, possibly torn mid-frame by a connection reset.
+// FuzzReadFrameBatch targets the TCP wire stream: a connection carries
+// concatenated frames (appendFrame), possibly from interleaved streams,
+// possibly torn mid-frame by a connection reset.
 // The fuzzer builds a batch from the input spec and checks three
 // properties: (1) the whole batch reads back frame-for-frame identical;
 // (2) a batch torn at any byte offset parses exactly its fully-contained
@@ -258,4 +258,13 @@ func FuzzReadFrameStream(f *testing.F) {
 		}
 		t.Fatal("65536 frames from a fuzz input: runaway parse")
 	})
+}
+
+// appendFrame serializes f (header + payload) onto b: the exact bytes the
+// transport's vectored write puts on the wire for one frame.
+func appendFrame(b []byte, f frame) []byte {
+	var hdr [frameHeaderSize]byte
+	putFrameHeader(hdr[:], f)
+	b = append(b, hdr[:]...)
+	return append(b, f.data...)
 }

@@ -105,7 +105,7 @@ type config struct {
 	inj         *fault.Injector
 	sendTimeout time.Duration
 	onRetry     func(src, dst, attempt int)
-	eng         engineConfig
+	frames      frameConfig
 }
 
 // Option configures NewWorld.
@@ -138,58 +138,6 @@ func WithRetryHook(fn func(src, dst, attempt int)) Option {
 	return func(c *config) { c.onRetry = fn }
 }
 
-// WithCoalesce tunes the TCP transport's send progress engine: sends
-// deposit frames into a per-connection batch that a writer goroutine
-// drains in single vectored writes. By default the writer drains eagerly
-// — batching emerges only while the socket is busy, and a lone frame
-// pays no added latency. A frame of bytes or more, or a batch reaching
-// bytes, forces an immediate flush; a positive deadline instead holds a
-// sub-threshold batch open that long after its first frame (maximum
-// batching, at a latency cost). Zero or negative bytes keeps the 16 KiB
-// default; zero deadline is the eager default. The in-memory transport
-// ignores it.
-func WithCoalesce(bytes int, deadline time.Duration) Option {
-	return func(c *config) {
-		c.eng.coalesceBytes = bytes
-		c.eng.coalesceDeadline = deadline
-	}
-}
-
-// WithCoalesceOff disables send coalescing (ablation): every frame is
-// written synchronously in its own vectored write, like the pre-engine
-// transport's flush-per-frame behaviour.
-func WithCoalesceOff() Option { return func(c *config) { c.eng.coalesceOff = true } }
-
-// WithMuxOff disables connection multiplexing (ablation): each
-// (communicator, sender rank, destination) triple dials its own TCP
-// connection — the pre-engine socket layout — instead of all streams
-// toward a destination sharing one.
-func WithMuxOff() Option { return func(c *config) { c.eng.muxOff = true } }
-
-// WithShm runs every rank pair of an in-process TCP world over
-// shared-memory rings: the progress engine's batches are deposited into
-// per-destination mmap-ed SPSC ring buffers instead of loopback sockets,
-// so frames move with zero syscalls on the fast path. The world creates
-// (and removes on Close) a private segment directory under /dev/shm or
-// the temp dir. Requires WithTCP — the in-memory channel transport is
-// already syscall-free and ignores it.
-func WithShm() Option { return func(c *config) { c.eng.shmAuto = true } }
-
-// WithShmSegments points one process of a distributed world at a
-// launcher-created shm segment directory (see CreateShmSegments). The
-// rank advertises its host identity (ShmHostID) alongside its TCP
-// address; pairs whose identities match move frames over the directory's
-// rings, everyone else keeps TCP. Selection is per pair and degrades to
-// TCP on any failure. The launcher owns the directory's lifecycle.
-func WithShmSegments(dir string) Option { return func(c *config) { c.eng.shmDir = dir } }
-
-// WithDrainTimeout bounds how long World.Close waits for the transport
-// progress engine to flush acknowledged-but-unwritten frames (the drain
-// barrier, shared by the TCP and shm paths). Zero or negative keeps the
-// 2s default; slow CI environments raise it, latency-sensitive teardown
-// lowers it.
-func WithDrainTimeout(d time.Duration) Option { return func(c *config) { c.eng.drainTimeout = d } }
-
 // WithChunkBytes sets the chunked-transfer threshold: a message payload
 // strictly larger than n bytes is split into sequenced continuation
 // frames of at most n data bytes each and reassembled at the receive
@@ -198,7 +146,7 @@ func WithDrainTimeout(d time.Duration) Option { return func(c *config) { c.eng.d
 // while bounding per-frame buffering, retry and copy costs. Zero or
 // negative keeps the 4 MiB default; the threshold is clamped so one
 // chunk frame always fits the frame cap. Applies to every transport.
-func WithChunkBytes(n int) Option { return func(c *config) { c.eng.chunkBytes = n } }
+func WithChunkBytes(n int) Option { return func(c *config) { c.frames.chunkBytes = n } }
 
 // WithMaxFrame sets the send-side cap on a single frame's payload.
 // Values above it travel as chunked continuation frames, so the cap
@@ -206,7 +154,7 @@ func WithChunkBytes(n int) Option { return func(c *config) { c.eng.chunkBytes = 
 // default, which is also the hard upper bound: the stream parser's
 // corruption guard (ErrFrameTooLarge) stays at the default regardless,
 // so a lowered cap is purely a local buffering bound.
-func WithMaxFrame(n int) Option { return func(c *config) { c.eng.maxFrame = n } }
+func WithMaxFrame(n int) Option { return func(c *config) { c.frames.maxFrame = n } }
 
 // NewWorld creates a world of n ranks.
 func NewWorld(n int, opts ...Option) (*World, error) {
@@ -222,10 +170,10 @@ func NewWorld(n int, opts ...Option) (*World, error) {
 		comms:  make(map[uint32][]*Comm),
 		nextID: 1,
 	}
-	w.initChunking(cfg.eng)
+	w.initChunking(cfg.frames)
 	var err error
 	if cfg.tcp {
-		w.tr, err = newTCPTransport(n, cfg.link, cfg.sendTimeout, cfg.onRetry, cfg.eng)
+		w.tr, err = newTCPTransport(n, cfg.link, cfg.sendTimeout, cfg.onRetry, cfg.frames)
 	} else {
 		w.tr, err = newMemTransport(n, cfg.link, cfg.sendTimeout)
 	}

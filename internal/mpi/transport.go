@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,12 +19,11 @@ import (
 type transport interface {
 	// send delivers f toward dst. Ownership contract: the caller may reuse
 	// f.data as soon as send returns, so an implementation that retains the
-	// payload past the call (a buffering inbox, an async delivery queue,
-	// the TCP progress engine's batch) must copy it first; a synchronous
-	// write path that puts the bytes on the wire before returning must
-	// not. On the receive side the contract inverts: a frame handed out by
-	// recv is owned by the receiver and is never touched by the transport
-	// again.
+	// payload past the call (a buffering inbox, an async delivery queue)
+	// must copy it first; a synchronous write path that puts the bytes on
+	// the wire before returning (TCP) must not. On the receive side the
+	// contract inverts: a frame handed out by recv is owned by the
+	// receiver and is never touched by the transport again.
 	send(src, dst int, f frame) error
 	// recv blocks for the next frame addressed to world rank r; ok=false
 	// means the transport has been closed.
@@ -40,46 +38,24 @@ type transport interface {
 // (retransmits, reconnects, wire volume) into its job counters.
 type Stats struct {
 	// FramesSent/BytesSent count payloads handed to the wire (after any
-	// fault-injection drops); a frame counts once, when its write — or the
-	// batch flush carrying it — succeeds.
+	// fault-injection drops); a frame counts once, when its write succeeds.
 	FramesSent, BytesSent int64
 	// FramesRecv/BytesRecv count payloads delivered to receivers.
 	FramesRecv, BytesRecv int64
-	// SendRetries counts TCP batch/frame rewrites after a failed attempt;
+	// SendRetries counts TCP frame rewrites after a failed attempt;
 	// the in-memory transport never retries.
 	SendRetries int64
 	// Dials counts TCP connection establishments (first connects and
 	// post-reset redials).
 	Dials int64
 
-	// CoalesceBatches counts progress-engine flushes that shipped more
-	// than one frame in a single write — real coalescing, not lone-frame
-	// drains. CoalesceFlushSize counts flushes forced by the size
-	// threshold (a batch or frame at/above CoalesceBytes);
-	// CoalesceFlushDeadline counts flushes fired by a configured positive
-	// flush deadline. The default eager drain (deadline zero) charges
-	// neither meter: the writer ships whatever accumulated as soon as it
-	// is free.
-	CoalesceBatches       int64
-	CoalesceFlushSize     int64
-	CoalesceFlushDeadline int64
 	// MuxConns is the peak number of simultaneously open outgoing
-	// connections: one per destination under multiplexing (the default),
-	// one per (comm, srcRank, dst) triple under WithMuxOff.
+	// connections: one per destination, since every communicator and
+	// sender rank shares it.
 	MuxConns int64
-	// WritevCalls counts batch writes issued by the progress engine; each
-	// ships everything pending toward one destination in a single syscall.
+	// WritevCalls counts successful vectored writes; each ships one frame
+	// (header and payload) in a single syscall.
 	WritevCalls int64
-
-	// ShmConns is how many destinations this transport reached over
-	// shared-memory rings; ShmBytes the bytes moved through them (frame
-	// headers included — the ring carries the raw batched wire format).
-	// ShmWakes counts futex wakes issued toward a sleeping peer (at most
-	// one per empty→nonempty or full→space transition); ShmSpins the
-	// yield-spin iterations burned before sleeping. A busy pair keeps
-	// wakes near zero, an idle pair costs nothing.
-	ShmConns, ShmBytes int64
-	ShmWakes, ShmSpins int64
 
 	// ChunkFramesSent/ChunkMsgsSent count the BigMPI-style chunked
 	// transfer layer's activity on the send side: messages above the chunk
@@ -88,8 +64,8 @@ type Stats struct {
 	// messages). ChunkFramesRecv/ChunkMsgsReassembled mirror them at the
 	// receive demux, which reassembles continuations back into the
 	// original message before delivery. These are World-level counters:
-	// chunking happens above the raw transport, identically over TCP, shm
-	// rings and the in-memory channels.
+	// chunking happens above the raw transport, identically over TCP and
+	// the in-memory channels.
 	ChunkFramesSent      int64
 	ChunkFramesRecv      int64
 	ChunkMsgsSent        int64
@@ -134,7 +110,7 @@ const frameOverhead = frameHeaderSize + 52
 // stream parser enforces: a corrupt or hostile length header can
 // therefore not force an unbounded allocation; readFrame rejects larger
 // claims with ErrFrameTooLarge. The send-side cap defaults to it but can
-// be lowered per world (engineConfig.maxFrame / WithMaxFrame); messages
+// be lowered per world (frameConfig.maxFrame / WithMaxFrame); messages
 // larger than a frame allows travel as chunked continuation frames, so
 // the cap bounds frames, not messages.
 const maxFrameSize = 256 << 20
@@ -149,31 +125,16 @@ const FrameCap = maxFrameSize
 // balloon memory before the short read surfaces.
 const frameAllocChunk = 1 << 20
 
-// tcpSendRetries is how many times a TCP flush redials and rewrites after
+// tcpSendRetries is how many times a TCP send redials and rewrites after
 // a connection failure before declaring the peer dead.
 const tcpSendRetries = 4
 
 // tcpDialTimeout bounds one dial attempt inside the retry loop.
 const tcpDialTimeout = 2 * time.Second
 
-// tcpDrainTimeout is the default bound on close()'s wait for the
-// progress engine to flush acknowledged-but-unwritten frames (TCP writes
-// and shm ring deposits alike). Healthy writers drain in microseconds;
-// the cap only matters for a writer wedged against a peer that died
-// without closing its socket. WithDrainTimeout overrides it.
-const tcpDrainTimeout = 2 * time.Second
-
-// engineConfig tunes the TCP transport's send-side progress engine:
-// per-destination coalescing, vectored writes, connection multiplexing,
-// and same-host shared-memory rings. The zero value selects the
-// defaults; the Off fields are the ablation switches.
-type engineConfig struct {
-	coalesceOff      bool
-	muxOff           bool
-	coalesceBytes    int
-	coalesceDeadline time.Duration
-	drainTimeout     time.Duration
-
+// frameConfig holds a world's frame-size limits, shared by every
+// transport. The zero value selects the defaults.
+type frameConfig struct {
 	// chunkBytes is the chunked-transfer threshold: a message payload
 	// strictly larger travels as sequenced continuation frames of at most
 	// chunkBytes each (plus the chunk sub-header). maxFrame is the
@@ -181,29 +142,7 @@ type engineConfig struct {
 	// maxFrameSize parse bound.
 	chunkBytes int
 	maxFrame   int
-
-	// shmAuto: in-process world, create a private segment directory and
-	// run every pair over rings. shmDir: distributed world, select shm
-	// per pair by the boot-id/nonce handshake against this
-	// launcher-created directory. Mutually exclusive by construction.
-	shmAuto      bool
-	shmDir       string
-	shmRingBytes int
 }
-
-// defaultCoalesceBytes is the size-flush threshold: a batch (or a single
-// frame) at or above it is written without waiting on any deadline. The
-// threshold sits deliberately below the runtime's 64 KiB SPL frames, so
-// bulk shuffle data is never held back by a configured flush deadline.
-//
-// The default flush deadline is zero — eager drain. The writer goroutine
-// ships whatever the batch holds as soon as the previous write returns,
-// so an isolated control frame pays no added latency while frames
-// deposited during an in-flight write coalesce into the next syscall:
-// batching emerges exactly when the socket is the bottleneck. A positive
-// deadline (WithCoalesce) instead holds sub-threshold batches open —
-// library-level Nagle — trading latency for maximal batching.
-const defaultCoalesceBytes = 16 << 10
 
 // defaultChunkBytes is the default chunked-transfer threshold and chunk
 // payload size (the BigMPI chunking strategy). It sits far above the
@@ -213,19 +152,7 @@ const defaultCoalesceBytes = 16 << 10
 // O(chunk) memory.
 const defaultChunkBytes = 4 << 20
 
-func (e *engineConfig) normalize() {
-	if e.coalesceBytes <= 0 {
-		e.coalesceBytes = defaultCoalesceBytes
-	}
-	if e.coalesceDeadline < 0 {
-		e.coalesceDeadline = 0
-	}
-	if e.drainTimeout <= 0 {
-		e.drainTimeout = tcpDrainTimeout
-	}
-	if e.shmRingBytes <= 0 {
-		e.shmRingBytes = defaultShmRingBytes
-	}
+func (e *frameConfig) normalize() {
 	if e.maxFrame <= 0 || e.maxFrame > maxFrameSize {
 		e.maxFrame = maxFrameSize
 	}
@@ -239,19 +166,6 @@ func (e *engineConfig) normalize() {
 	if e.chunkBytes > e.maxFrame-chunkHdrSize {
 		e.chunkBytes = e.maxFrame - chunkHdrSize
 	}
-}
-
-// maxPendingBytes bounds how far a connection's batch may run ahead of
-// its writer before senders block — the TCP analogue of the mem
-// transport's bounded inbox. Several thresholds of slack lets bursts
-// coalesce; a stalled peer cannot absorb unbounded memory. A single
-// frame larger than the bound is still accepted once the batch has
-// drained below it.
-func (e *engineConfig) maxPendingBytes() int {
-	if m := 4 * e.coalesceBytes; m > 1<<20 {
-		return m
-	}
-	return 1 << 20
 }
 
 // ---------------------------------------------------------------------------
@@ -343,50 +257,41 @@ func (t *memTransport) close() {
 }
 
 // ---------------------------------------------------------------------------
-// TCP transport with a send-side progress engine
+// TCP transport
 //
-// The send path is a progress engine (the ROADMAP's "fewer syscalls,
-// fewer wakeups" layer): every frame is serialized into a per-connection
-// batch that a dedicated writer goroutine drains — senders append and
-// return without ever blocking on a syscall, frames deposited while a
-// write is in flight coalesce into the next single write, an optional
-// positive deadline holds sub-threshold batches open for maximal
-// batching (Nagle at the library level), and by default every
-// communicator and sender rank multiplexes onto one connection per
-// destination. The receive path is unchanged: a batch is just
-// concatenated frames, demultiplexed by the (comm, srcRank) header every
-// frame always carried, and per-stream sequence numbers keep delivery
-// exactly-once in order across resets and whole-batch rewrites. The
-// CoalesceOff ablation restores the seed transport's synchronous
-// flush-per-frame sends.
+// Every send is one synchronous vectored write (frame header + payload)
+// on the single connection this process keeps toward the destination:
+// all communicators and sender ranks multiplex onto it, serialized by the
+// connection's flushMu, and the receive side demultiplexes by the (comm,
+// srcRank) header every frame carries. A failed write redials and
+// rewrites the frame; per-stream sequence numbers keep delivery
+// exactly-once and in order across those resets, and a destination that
+// stays unreachable through every retry gets a sticky ErrRankDead
+// verdict. This is the paper's communication thread sending each sealed
+// buffer with plain point-to-point (§IV-C); the runtime's SPL frames are
+// already large, and an asynchronous coalescing writer layered on top
+// measured no faster.
 
 type tcpTransport struct {
 	transportStats
-	n           int
-	self        int // local rank in a distributed world; -1 = all ranks local
 	link        *netsim.Link
 	sendTimeout time.Duration
 	onRetry     func(src, dst, attempt int)
-	eng         engineConfig
+	maxFrame    int
 	listeners   []net.Listener
 	addrs       []string
 	inboxes     []chan frame
 	done        chan struct{}
-	shm         *shmState // nil unless same-host rings are in play
 
-	coalesceBatches       atomic.Int64
-	coalesceFlushSize     atomic.Int64
-	coalesceFlushDeadline atomic.Int64
-	writevCalls           atomic.Int64
+	writevCalls atomic.Int64
 
 	mu       sync.Mutex
-	conns    map[[3]int]*tcpConn // connKey -> progress-engine connection state
-	sendSeq  map[[3]int]uint64   // [comm,srcRank,dst] -> next sequence number per stream
+	conns    map[int]*tcpConn  // destination world rank -> its connection
+	sendSeq  map[[3]int]uint64 // [comm,srcRank,dst] -> next sequence number per stream
 	outbound map[net.Conn]struct{}
 	muxPeak  int64 // peak len(outbound), reported as Stats.MuxConns
 	accepted map[net.Conn]struct{}
-	closed   bool // close() started: new sends fail fast, drain is underway
-	torndown bool // drain finished, sockets severed: no more dialing
+	closed   bool
 	wg       sync.WaitGroup
 
 	rdMu    sync.Mutex
@@ -398,69 +303,29 @@ type tcpTransport struct {
 // one draining its final frames into the inbox; delivering strictly by the
 // sender-assigned sequence number restores stream order and discards the
 // rare duplicate (a frame whose write "failed" after the bytes were
-// already delivered, then was rewritten on the new connection). The same
-// mechanism makes whole-batch rewrites after a mid-batch reset safe: the
-// prefix that slipped out before the reset is deduplicated, the tail is
-// delivered once.
+// already delivered, then was rewritten on the new connection).
 type streamState struct {
 	next uint64
 	held map[uint64]frame
 }
 
-// tcpConn is one outgoing connection's progress-engine state: the live
-// socket (redialed on demand after a drop), the pending batch its writer
-// goroutine drains, and — after a flush exhausts its retries — the
-// sticky failure-detector verdict. With coalescing on, a connWriter
-// goroutine owns all socket I/O; under CoalesceOff there is no writer
-// and sends flush synchronously (the seed transport's behaviour),
-// serialized by flushMu.
+// tcpConn is one destination's outgoing connection: the live socket
+// (redialed on demand after a drop) and — after a send exhausts its
+// retries — the sticky failure-detector verdict. flushMu serializes the
+// senders sharing the connection, so each frame's write (and its retry
+// ladder) completes before the next begins.
 type tcpConn struct {
-	dst  int
-	ring *shmRing // non-nil: flushes go to shared memory, never a socket
+	dst     int
+	flushMu sync.Mutex
 
-	mu           sync.Mutex
-	c            net.Conn // nil until dialed, and after a drop
-	err          error    // sticky ErrRankDead verdict; lives until rank replacement retires the conn
-	batch        []byte   // serialized frames awaiting the writer's next flush
-	batchFrames  int
-	batchPayload int64     // payload bytes in batch (counters exclude headers)
-	batchStart   time.Time // when the batch went empty -> non-empty (deadline base)
-	flushNow     bool      // batch holds a size-threshold frame: skip any deadline wait
-	stopped      bool      // retired by replaceRank: the writer exits, senders drop
-	src          int       // world rank of the latest sender, for retry-hook attribution
-
-	flushing bool // the writer is mid-flush on a swapped-out batch
-
-	kick  chan struct{} // cap 1: batch state changed, wake the writer
-	space chan struct{} // cap 1: writer drained, backpressured senders recheck
-	dead  chan struct{} // closed on sticky verdict or retirement; unblocks waiters
-	once  sync.Once     // guards the dead close
-
-	flushMu sync.Mutex // CoalesceOff path: serializes synchronous flushes
-	syncBuf []byte     // CoalesceOff path: reusable frame serialization buffer
+	mu      sync.Mutex
+	c       net.Conn // nil until dialed, and after a drop
+	err     error    // sticky ErrRankDead verdict; lives until rank replacement retires the conn
+	stopped bool     // retired by replaceRank: senders drop their frames
 }
 
-// closeDead marks tc permanently unusable, waking any blocked sender.
-func (tc *tcpConn) closeDead() { tc.once.Do(func() { close(tc.dead) }) }
-
-func newTCPTransport(n int, link *netsim.Link, sendTimeout time.Duration, onRetry func(src, dst, attempt int), eng engineConfig) (*tcpTransport, error) {
-	eng.normalize()
-	t := &tcpTransport{
-		n:           n,
-		self:        -1,
-		link:        link,
-		sendTimeout: sendTimeout,
-		onRetry:     onRetry,
-		eng:         eng,
-		listeners:   make([]net.Listener, n),
-		addrs:       make([]string, n),
-		inboxes:     make([]chan frame, n),
-		done:        make(chan struct{}),
-		conns:       make(map[[3]int]*tcpConn),
-		sendSeq:     make(map[[3]int]uint64),
-		outbound:    make(map[net.Conn]struct{}),
-		streams:     make(map[[3]int]*streamState),
-	}
+func newTCPTransport(n int, link *netsim.Link, sendTimeout time.Duration, onRetry func(src, dst, attempt int), fc frameConfig) (*tcpTransport, error) {
+	t := newTCPState(n, link, sendTimeout, onRetry, fc)
 	for i := 0; i < n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -470,14 +335,6 @@ func newTCPTransport(n int, link *netsim.Link, sendTimeout time.Duration, onRetr
 		t.listeners[i] = ln
 		t.addrs[i] = ln.Addr().String()
 		t.inboxes[i] = make(chan frame, 1024)
-	}
-	if eng.shmAuto {
-		// Every rank of an in-process world shares this host by
-		// definition; no handshake needed, just a private segment dir.
-		if err := t.setupShmLocal(); err != nil {
-			t.close()
-			return nil, err
-		}
 	}
 	for i := 0; i < n; i++ {
 		t.wg.Add(1)
@@ -489,62 +346,46 @@ func newTCPTransport(n int, link *netsim.Link, sendTimeout time.Duration, onRetr
 // newDistTCPTransport builds the single-process slice of a distributed
 // TCP transport: rank self listens on ln (whose address must equal
 // addrs[self]); every other rank is reached by dialing its directory
-// address. The wire protocol, per-stream sequencing, retry machinery and
-// progress engine are exactly those of the all-local transport — each
-// (comm, srcRank, dst) stream originates in exactly one process, so
-// sender-assigned sequence numbers stay consistent across the
-// distributed world. With multiplexing on (the default), the whole
-// process shares one outgoing connection per destination process, so a
-// proc-mode fleet runs O(n) sockets per host-pair instead of one per
-// (comm, rank) triple.
-func newDistTCPTransport(n, self int, ln net.Listener, addrs []string, link *netsim.Link, sendTimeout time.Duration, onRetry func(src, dst, attempt int), eng engineConfig) (*tcpTransport, error) {
-	eng.normalize()
-	// Directory entries are transport descriptors: a dialable TCP address,
-	// optionally tagged with the rank's shm host identity. Dialing always
-	// uses the stripped address; the tags drive per-pair selection below.
-	plain := make([]string, n)
-	for i, desc := range addrs {
-		plain[i], _ = parseShmAddr(desc)
-	}
-	t := &tcpTransport{
-		n:           n,
-		self:        self,
-		link:        link,
-		sendTimeout: sendTimeout,
-		onRetry:     onRetry,
-		eng:         eng,
-		listeners:   make([]net.Listener, n),
-		addrs:       plain,
-		inboxes:     make([]chan frame, n),
-		done:        make(chan struct{}),
-		conns:       make(map[[3]int]*tcpConn),
-		sendSeq:     make(map[[3]int]uint64),
-		outbound:    make(map[net.Conn]struct{}),
-		streams:     make(map[[3]int]*streamState),
-	}
+// address. The wire protocol, per-stream sequencing and retry machinery
+// are exactly those of the all-local transport — each (comm, srcRank,
+// dst) stream originates in exactly one process, so sender-assigned
+// sequence numbers stay consistent across the distributed world — and
+// the whole process shares one outgoing connection per destination
+// process.
+func newDistTCPTransport(n, self int, ln net.Listener, addrs []string, link *netsim.Link, sendTimeout time.Duration, onRetry func(src, dst, attempt int), fc frameConfig) (*tcpTransport, error) {
+	t := newTCPState(n, link, sendTimeout, onRetry, fc)
+	copy(t.addrs, addrs)
 	t.listeners[self] = ln
 	t.addrs[self] = ln.Addr().String()
 	t.inboxes[self] = make(chan frame, 1024)
-	if eng.shmDir != "" {
-		t.setupShmDist(addrs)
-	}
 	t.wg.Add(1)
 	go t.acceptLoop(self)
 	return t, nil
 }
 
+// newTCPState builds the transport state shared by both constructors for
+// a world of n ranks; the callers open the listeners.
+func newTCPState(n int, link *netsim.Link, sendTimeout time.Duration, onRetry func(src, dst, attempt int), fc frameConfig) *tcpTransport {
+	fc.normalize()
+	return &tcpTransport{
+		link:        link,
+		sendTimeout: sendTimeout,
+		onRetry:     onRetry,
+		maxFrame:    fc.maxFrame,
+		listeners:   make([]net.Listener, n),
+		addrs:       make([]string, n),
+		inboxes:     make([]chan frame, n),
+		done:        make(chan struct{}),
+		conns:       make(map[int]*tcpConn),
+		sendSeq:     make(map[[3]int]uint64),
+		outbound:    make(map[net.Conn]struct{}),
+		streams:     make(map[[3]int]*streamState),
+	}
+}
+
 func (t *tcpTransport) stats() Stats {
 	s := t.transportStats.stats()
-	s.CoalesceBatches = t.coalesceBatches.Load()
-	s.CoalesceFlushSize = t.coalesceFlushSize.Load()
-	s.CoalesceFlushDeadline = t.coalesceFlushDeadline.Load()
 	s.WritevCalls = t.writevCalls.Load()
-	if t.shm != nil {
-		s.ShmConns = t.shm.c.conns.Load()
-		s.ShmBytes = t.shm.c.bytes.Load()
-		s.ShmWakes = t.shm.c.wakes.Load()
-		s.ShmSpins = t.shm.c.spins.Load()
-	}
 	t.mu.Lock()
 	s.MuxConns = t.muxPeak
 	t.mu.Unlock()
@@ -644,18 +485,8 @@ func putFrameHeader(hdr []byte, f frame) {
 	binary.BigEndian.PutUint32(hdr[20:], uint32(len(f.data)))
 }
 
-// appendFrame serializes f (header + payload) onto b. A batch on the wire
-// is nothing more than concatenated frames — the receive side needs no
-// batch framing; readFrame consumes them one by one off the stream.
-func appendFrame(b []byte, f frame) []byte {
-	var hdr [frameHeaderSize]byte
-	putFrameHeader(hdr[:], f)
-	b = append(b, hdr[:]...)
-	return append(b, f.data...)
-}
-
 // writeFrame writes one frame through a buffered writer and flushes. The
-// progress engine does not use it — it exists as the reference serializer
+// transport does not use it — it exists as the reference serializer
 // readFrame is tested against.
 func writeFrame(w *bufio.Writer, f frame) error {
 	if len(f.data) > maxFrameSize {
@@ -704,21 +535,8 @@ func readFrame(r io.Reader) (frame, error) {
 	return f, nil
 }
 
-// connKey maps a frame's stream to its outgoing connection. The default
-// engine multiplexes every communicator and sender rank onto one
-// connection per destination — O(n) sockets instead of one per (comm,
-// srcRank, dst) triple — demultiplexed on the receive side by the (comm,
-// srcRank) header every frame has always carried. WithMuxOff restores the
-// seed transport's connection-per-triple layout.
-func (t *tcpTransport) connKey(comm uint32, srcRank int32, dst int) [3]int {
-	if t.eng.muxOff {
-		return [3]int{int(comm), int(srcRank), dst}
-	}
-	return [3]int{-1, -1, dst}
-}
-
 func (t *tcpTransport) send(src, dst int, f frame) error {
-	if len(f.data) > t.eng.maxFrame {
+	if len(f.data) > t.maxFrame {
 		return fmt.Errorf("mpi: %d-byte frame: %w", len(f.data), ErrFrameTooLarge)
 	}
 	if t.link != nil {
@@ -727,8 +545,8 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 	// The stream sequence number is assigned once and reused across
 	// retries: a rewrite after a connection failure carries the same seq,
 	// so the receiver's reorderer can discard it if the original actually
-	// arrived. Streams stay keyed by the full triple even when their
-	// frames share a multiplexed connection. The conn and the seq are
+	// arrived. Streams stay keyed by the full triple even though their
+	// frames share the destination's connection. The conn and the seq are
 	// resolved under one t.mu hold, so a concurrent replaceRank either
 	// retires both (the frame is dropped with its incarnation) or neither.
 	seqKey := [3]int{int(f.comm), int(f.srcRank), dst}
@@ -739,212 +557,41 @@ func (t *tcpTransport) send(src, dst int, f frame) error {
 	}
 	f.seq = t.sendSeq[seqKey]
 	t.sendSeq[seqKey]++
-	key := t.connKey(f.comm, f.srcRank, dst)
-	tc := t.conns[key]
+	tc := t.conns[dst]
 	if tc == nil {
-		tc = &tcpConn{
-			dst:   dst,
-			ring:  t.shm.outRing(dst), // nil: this pair flushes to a socket
-			kick:  make(chan struct{}, 1),
-			space: make(chan struct{}, 1),
-			dead:  make(chan struct{}),
-		}
-		t.conns[key] = tc
-		if !t.eng.coalesceOff {
-			t.wg.Add(1)
-			go t.connWriter(tc)
-		}
+		tc = &tcpConn{dst: dst}
+		t.conns[dst] = tc
 	}
 	t.mu.Unlock()
 
-	if t.eng.coalesceOff {
-		return t.sendSync(tc, src, f)
-	}
-
-	// Deposit the frame into the writer's batch and return — the sender
-	// never blocks on a syscall. The batch retains the bytes past this
-	// call, so the serialization copy here is the transport.send
-	// ownership contract. Backpressure: when the batch has run
-	// maxPendingBytes ahead of the writer, wait for a drain.
-	var timeoutC <-chan time.Time
-	tc.mu.Lock()
-	tc.src = src
-	for {
-		if tc.err != nil {
-			// The writer exhausted its retries: the engine has already
-			// declared this destination dead. Fail fast — the verdict
-			// lives until a replacement takes over the rank.
-			err := tc.err
-			tc.mu.Unlock()
-			return err
-		}
-		if tc.stopped {
-			// replaceRank retired this connection: the frame belongs to
-			// the dead incarnation's streams and is dropped exactly like
-			// the batch it would have joined.
-			tc.mu.Unlock()
-			return nil
-		}
-		if len(tc.batch) < t.eng.maxPendingBytes() {
-			break
-		}
-		tc.mu.Unlock()
-		if t.sendTimeout > 0 && timeoutC == nil {
-			tm := time.NewTimer(t.sendTimeout)
-			defer tm.Stop()
-			timeoutC = tm.C
-		}
-		select {
-		case <-tc.space:
-		case <-tc.dead:
-		case <-t.done:
-			return ErrClosed
-		case <-timeoutC: // nil (blocks forever) when no timeout is set
-			return fmt.Errorf("mpi: send to rank %d: batch backlog for %v: %w",
-				dst, t.sendTimeout, ErrTimeout)
-		}
-		tc.mu.Lock()
-	}
-	if tc.batchFrames == 0 && t.eng.coalesceDeadline > 0 {
-		tc.batchStart = time.Now() // eager mode never reads the batch age
-	}
-	tc.batch = appendFrame(tc.batch, f)
-	tc.batchFrames++
-	tc.batchPayload += int64(len(f.data))
-	if len(f.data) >= t.eng.coalesceBytes || len(tc.batch) >= t.eng.coalesceBytes {
-		tc.flushNow = true
-	}
-	tc.mu.Unlock()
-	select {
-	case tc.kick <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-// sendSync is the CoalesceOff ablation: serialize and write one frame
-// synchronously, exactly the seed transport's flush-per-frame behaviour
-// (including synchronous error surfacing). flushMu serializes writers to
-// a shared multiplexed connection.
-func (t *tcpTransport) sendSync(tc *tcpConn, src int, f frame) error {
 	tc.flushMu.Lock()
 	defer tc.flushMu.Unlock()
 	tc.mu.Lock()
-	tc.src = src
-	if tc.err != nil {
-		err := tc.err
-		tc.mu.Unlock()
+	err, stopped := tc.err, tc.stopped
+	tc.mu.Unlock()
+	if err != nil {
+		// An earlier send exhausted its retries: this destination is
+		// already declared dead. Fail fast — the verdict lives until a
+		// replacement takes over the rank.
 		return err
 	}
-	if tc.stopped {
-		tc.mu.Unlock()
+	if stopped {
+		// replaceRank retired this connection: the frame belongs to the
+		// dead incarnation's streams and is dropped with them.
 		return nil
 	}
-	buf := appendFrame(tc.syncBuf[:0], f)
-	tc.syncBuf = buf
-	tc.mu.Unlock()
-	return t.flushBuf(tc, buf, 1, int64(len(f.data)), src, nil)
+	return t.writeFrameTo(tc, src, f)
 }
 
-// connWriter is tc's progress engine: a per-connection goroutine that
-// owns the socket and drains the batch. With the default zero deadline
-// it drains eagerly — the moment the previous write returns — so
-// coalescing happens exactly when the socket is the bottleneck and an
-// isolated control frame is never delayed. A positive deadline holds a
-// sub-threshold batch open until it expires (or the size threshold
-// fires), maximizing batching at a latency cost. Exits on transport
-// shutdown, on retirement by replaceRank, or after parking a sticky
-// dead-rank verdict (no later send can enqueue anything past it).
-func (t *tcpTransport) connWriter(tc *tcpConn) {
-	defer t.wg.Done()
-	var buf []byte // writer-owned flush buffer, swapped with the live batch
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		tc.mu.Lock()
-		for tc.batchFrames == 0 && !tc.stopped {
-			tc.mu.Unlock()
-			select {
-			case <-tc.kick:
-			case <-t.done:
-				return
-			}
-			tc.mu.Lock()
-		}
-		if tc.stopped {
-			tc.mu.Unlock()
-			return
-		}
-		trigger := &t.coalesceFlushSize
-		if !tc.flushNow {
-			if d := t.eng.coalesceDeadline; d > 0 {
-				if wait := d - time.Since(tc.batchStart); wait > 0 {
-					tc.mu.Unlock()
-					if timer == nil {
-						timer = time.NewTimer(wait)
-					} else {
-						timer.Reset(wait)
-					}
-					select {
-					case <-timer.C:
-					case <-tc.kick:
-						if !timer.Stop() {
-							select {
-							case <-timer.C:
-							default:
-							}
-						}
-					case <-t.done:
-						return
-					}
-					continue // re-evaluate: size trigger, retirement, or expiry
-				}
-				trigger = &t.coalesceFlushDeadline
-			} else {
-				trigger = nil // eager drain: no flush meter to charge
-			}
-		}
-		frames, payload, src := tc.batchFrames, tc.batchPayload, tc.src
-		buf, tc.batch = tc.batch, buf[:0]
-		tc.batchFrames, tc.batchPayload, tc.flushNow = 0, 0, false
-		tc.flushing = true
-		tc.mu.Unlock()
-		select {
-		case tc.space <- struct{}{}:
-		default:
-		}
-		err := t.flushBuf(tc, buf, frames, payload, src, trigger)
-		tc.mu.Lock()
-		tc.flushing = false
-		tc.mu.Unlock()
-		if err != nil {
-			return // shutdown, or a sticky verdict nothing can enqueue past
-		}
-		// An oversized one-off (a huge frame) should not pin its buffer
-		// for the connection's lifetime.
-		if cap(buf) > 4*t.eng.maxPendingBytes() {
-			buf = nil
-		}
-	}
-}
-
-// flushBuf ships one swapped-out batch in a single write, redialing and
-// rewriting the whole batch on failure. Rewrites are safe against
-// duplication: every frame carries its stream sequence number, so a
-// receiver that got (part of) the first attempt discards what it already
-// delivered and the batch tail still arrives exactly once. trigger is
-// the flush-cause meter to charge on success (nil for eager drains); on
-// retry exhaustion the error is parked as tc's sticky verdict.
-func (t *tcpTransport) flushBuf(tc *tcpConn, buf []byte, frames int, payload int64, src int, trigger *atomic.Int64) error {
-	if tc.ring != nil {
-		// Same-host pair: the identical batch bytes go into the shared
-		// ring instead of a socket — zero syscalls on the fast path.
-		return t.flushShm(tc, buf, frames, payload, trigger)
-	}
+// writeFrameTo ships one frame in a single vectored write (header and
+// payload, no copy), redialing and rewriting it on failure. Rewrites are
+// safe against duplication: the frame carries its stream sequence number,
+// so a receiver that already got it discards the copy. On retry
+// exhaustion the error is parked as tc's sticky verdict. Called with
+// tc.flushMu held.
+func (t *tcpTransport) writeFrameTo(tc *tcpConn, src int, f frame) error {
+	var hdr [frameHeaderSize]byte
+	putFrameHeader(hdr[:], f)
 	var lastErr error
 	for attempt := 0; attempt <= tcpSendRetries; attempt++ {
 		if attempt > 0 {
@@ -974,24 +621,17 @@ func (t *tcpTransport) flushBuf(tc *tcpConn, buf []byte, frames int, payload int
 		if t.sendTimeout > 0 {
 			c.SetWriteDeadline(time.Now().Add(t.sendTimeout))
 		}
-		// One syscall for the whole batch. net.Buffers consumes itself on
-		// write, so it is rebuilt per attempt; buf's bytes are untouched.
-		bufs := net.Buffers{buf}
+		// net.Buffers consumes itself on write, so it is rebuilt per
+		// attempt; the header and payload bytes are untouched.
+		bufs := net.Buffers{hdr[:], f.data}
 		_, err := bufs.WriteTo(c)
 		if err == nil {
 			t.writevCalls.Add(1)
-			t.framesSent.Add(int64(frames))
-			t.bytesSent.Add(payload)
-			if frames > 1 {
-				t.coalesceBatches.Add(1)
-			}
-			if trigger != nil {
-				trigger.Add(1)
-			}
+			t.countSend(len(f.data))
 			return nil
 		}
 		lastErr = err
-		// The connection (and any partially written batch) is poisoned:
+		// The connection (and any partially written frame) is poisoned:
 		// drop it so the next attempt redials and rewrites from scratch.
 		// The receiver discards partial frames and deduplicates complete
 		// ones by sequence number, so a rewrite cannot double-deliver.
@@ -1000,31 +640,24 @@ func (t *tcpTransport) flushBuf(tc *tcpConn, buf []byte, frames int, payload int
 		tc.mu.Unlock()
 	}
 	// Failure-detector verdict: the destination stayed unreachable through
-	// every redial. Drop anything still pending — nothing can deliver it —
-	// and make the verdict sticky so later sends fail fast instead of
+	// every redial. Make it sticky so later sends fail fast instead of
 	// re-running the whole retry ladder per frame.
 	tc.mu.Lock()
 	tc.err = fmt.Errorf("mpi: send to rank %d failed after %d attempts (%v): %w",
 		tc.dst, tcpSendRetries+1, lastErr, ErrRankDead)
-	tc.batch, tc.batchFrames, tc.batchPayload = nil, 0, 0
 	err := tc.err
 	tc.mu.Unlock()
-	tc.closeDead()
 	return err
 }
 
 // ensureConnLocked dials tc's destination if its socket is down. Called
-// with tc.mu held, so concurrent senders to one destination wait on the
-// single dial instead of racing duplicates.
+// with tc.mu held.
 func (t *tcpTransport) ensureConnLocked(tc *tcpConn) error {
 	if tc.c != nil {
 		return nil
 	}
 	t.mu.Lock()
-	if t.torndown {
-		// closed-but-not-torndown means close() is draining: writers may
-		// still dial to deliver batches whose sends already returned
-		// success.
+	if t.closed {
 		t.mu.Unlock()
 		return ErrClosed
 	}
@@ -1051,9 +684,9 @@ func (t *tcpTransport) ensureConnLocked(tc *tcpConn) error {
 	return nil
 }
 
-// dropConnLocked closes and forgets tc's socket. The batch and stream
-// sequence state survive the drop, so the next flush redials and rewrites
-// everything still pending. Called with tc.mu held.
+// dropConnLocked closes and forgets tc's socket. Stream sequence state
+// survives the drop, so the next send redials and carries on. Called with
+// tc.mu held.
 func (t *tcpTransport) dropConnLocked(tc *tcpConn) {
 	if tc.c == nil {
 		return
@@ -1065,16 +698,13 @@ func (t *tcpTransport) dropConnLocked(tc *tcpConn) {
 	tc.c = nil
 }
 
-// resetPair injects a connection reset: the next flush toward the triple
-// must redial. Used by the fault layer; under multiplexing the triple's
-// frames share the destination's connection, so the reset severs that
-// shared socket — a strictly stronger fault, which the rewrite/dedup
-// machinery absorbs the same way. Pending batched frames survive the
-// reset and ride the next flush.
+// resetPair injects a connection reset: the next send toward dst must
+// redial. Used by the fault layer; the triple's frames share the
+// destination's connection, so the reset severs that shared socket, which
+// the rewrite/dedup machinery absorbs.
 func (t *tcpTransport) resetPair(comm uint32, srcRank int32, dst int) {
-	key := t.connKey(comm, srcRank, dst)
 	t.mu.Lock()
-	tc := t.conns[key]
+	tc := t.conns[dst]
 	t.mu.Unlock()
 	if tc == nil {
 		return
@@ -1085,53 +715,35 @@ func (t *tcpTransport) resetPair(comm uint32, srcRank int32, dst int) {
 }
 
 // replaceRank rewires the transport around a respawned rank: the address
-// directory points at the replacement, outgoing connections — including
-// their pending batches and any sticky dead-peer verdict — and sequence
-// counters toward the rank are dropped (the new incarnation expects every
-// stream to restart at sequence 0, and frames addressed to the old one
-// must not leak into it; committed-chunk replay re-covers that data), and
-// receive-stream ordering state from the old incarnation is cleared so
-// the replacement's streams are admitted from scratch. commRanks maps
+// directory points at the replacement, the outgoing connection — with any
+// sticky dead-peer verdict — and sequence counters toward the rank are
+// dropped (the new incarnation expects every stream to restart at
+// sequence 0, and frames addressed to the old one must not leak into it;
+// committed-chunk replay re-covers that data), and receive-stream
+// ordering state from the old incarnation is cleared so the
+// replacement's streams are admitted from scratch. commRanks maps
 // communicator id -> the replaced rank's rank within that communicator,
 // the key space of incoming streams.
 func (t *tcpTransport) replaceRank(worldRank int, addr string, commRanks map[uint32]int) {
-	// The pair is demoted to TCP regardless of what the replacement
-	// advertises: its rings still hold the dead incarnation's cursors and
-	// residue (see shmState.retireRank).
-	plain, _ := parseShmAddr(addr)
-	t.shm.retireRank(worldRank)
 	t.mu.Lock()
-	t.addrs[worldRank] = plain
-	var stale []*tcpConn
-	for key, tc := range t.conns {
-		if key[2] == worldRank {
-			stale = append(stale, tc)
-			delete(t.conns, key)
-		}
-	}
+	t.addrs[worldRank] = addr
+	stale := t.conns[worldRank]
+	delete(t.conns, worldRank)
 	for key := range t.sendSeq {
 		if key[2] == worldRank {
 			delete(t.sendSeq, key)
 		}
 	}
 	t.mu.Unlock()
-	for _, tc := range stale {
+	if stale != nil {
 		// Retire the connection outright rather than reviving it in place:
-		// the writer goroutine exits, racing senders that already resolved
-		// this tc drop their frames (old-incarnation streams), and the next
-		// send toward the rank creates a fresh conn with a fresh writer.
-		tc.mu.Lock()
-		tc.stopped = true
-		tc.batch = nil
-		tc.batchFrames = 0
-		tc.batchPayload = 0
-		t.dropConnLocked(tc)
-		tc.mu.Unlock()
-		select {
-		case tc.kick <- struct{}{}:
-		default:
-		}
-		tc.closeDead()
+		// racing senders that already resolved it drop their frames
+		// (old-incarnation streams), and the next send toward the rank
+		// creates a fresh conn.
+		stale.mu.Lock()
+		stale.stopped = true
+		t.dropConnLocked(stale)
+		stale.mu.Unlock()
 	}
 	t.rdMu.Lock()
 	for key := range t.streams {
@@ -1161,49 +773,18 @@ func (t *tcpTransport) recv(r int) (frame, bool) {
 	}
 }
 
+// close severs every socket and waits for the accept and read loops.
+// Sends are synchronous, so a send that returned success has already
+// handed its frame to the kernel; a send still in flight fails into its
+// retry loop, which observes done and returns ErrClosed.
 func (t *tcpTransport) close() {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
 		return
 	}
-	t.closed = true // new sends fail fast from here on
-	conns := make([]*tcpConn, 0, len(t.conns))
-	for _, tc := range t.conns {
-		conns = append(conns, tc)
-	}
-	t.mu.Unlock()
-	// Drain barrier: a send that returned success promised delivery, but
-	// with the async engine its frame may still sit in a batch or an
-	// in-flight flush. Force pending batches out (a held deadline batch
-	// flushes immediately) and wait until every writer has nothing left —
-	// or has hit a sticky verdict, whose frames are undeliverable anyway.
-	// This preserves the synchronous transport's contract that close()
-	// never abandons acknowledged sends on the healthy path. The wait is
-	// bounded: a writer can be wedged mid-write toward a peer that died
-	// without closing its socket (full TCP window, nobody reading), and
-	// only severing the socket below can unwedge it.
-	deadline := time.Now().Add(t.eng.drainTimeout)
-	for _, tc := range conns {
-		tc.mu.Lock()
-		if tc.batchFrames > 0 {
-			tc.flushNow = true
-			select {
-			case tc.kick <- struct{}{}:
-			default:
-			}
-		}
-		for (tc.batchFrames > 0 || tc.flushing) && tc.err == nil && !tc.stopped &&
-			time.Now().Before(deadline) {
-			tc.mu.Unlock()
-			time.Sleep(500 * time.Microsecond)
-			tc.mu.Lock()
-		}
-		tc.mu.Unlock()
-	}
-	t.mu.Lock()
-	t.torndown = true
-	t.conns = map[[3]int]*tcpConn{}
+	t.closed = true
+	t.conns = map[int]*tcpConn{}
 	outbound := make([]net.Conn, 0, len(t.outbound))
 	for c := range t.outbound {
 		outbound = append(outbound, c)
@@ -1220,33 +801,11 @@ func (t *tcpTransport) close() {
 			ln.Close()
 		}
 	}
-	// Severing the sockets makes any in-flight flush fail into its retry
-	// loop, which observes done/closed and returns ErrClosed; un-flushed
-	// batches die with the world, like any frame still in an inbox. Each
-	// connection's writer goroutine exits the same way — its idle wait and
-	// its retry backoff both select on done — so the Wait below covers
-	// them alongside the accept/read loops.
 	for _, c := range outbound {
 		c.Close()
 	}
 	for _, c := range accepted {
 		c.Close()
 	}
-	// Aborting the rings is the shm twin of severing the sockets: blocked
-	// producers fail into ErrClosed, ring readers see io.EOF, and — like a
-	// severed socket's in-flight bytes — undelivered ring residue dies
-	// with the world. Unmapping waits for wg so no goroutine can touch a
-	// dead mapping; an in-process world also owns its segment directory
-	// and removes it here.
-	rings := t.shm.rings()
-	for _, r := range rings {
-		r.abort()
-	}
 	t.wg.Wait()
-	for _, r := range rings {
-		r.unmap()
-	}
-	if t.shm != nil && t.shm.ownDir {
-		os.RemoveAll(t.shm.dir)
-	}
 }
